@@ -15,7 +15,14 @@ from typing import Iterable
 
 from .errors import DimensionError, NoSuchFaceError, PreconditionError
 from .face_complex import Face, FaceComplex
-from .lattice import IntVector, Sublattice, TorusPoint, extends_to_basis, subtorus_contains
+from .lattice import (
+    IntVector,
+    Sublattice,
+    TorusPoint,
+    _as_int,
+    extends_to_basis,
+    subtorus_contains,
+)
 
 
 @dataclass(frozen=True)
@@ -33,7 +40,7 @@ class CharacteristicFunction:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DimensionError("rank n must be >= 1")
-        vectors = tuple(tuple(int(x) for x in row) for row in self.vectors)
+        vectors = tuple(tuple(_as_int(x) for x in row) for row in self.vectors)
         if not vectors:
             raise DimensionError("characteristic function needs at least one facet")
         if any(len(row) != self.n for row in vectors):

@@ -173,6 +173,11 @@ def _load_skeletal(path: str, source: CharacteristicPair, target: Characteristic
                 or not all(isinstance(side, list) for side in item)
             ):
                 raise InputError(f"{path}: \"face_map\"[{i}] must be [fromFacets, toFacets]")
+            ids = [x for side in item for x in side]
+            if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in ids):
+                raise InputError(
+                    f"{path}: \"face_map\"[{i}] must list nonnegative facet ids"
+                )
             src = Face(tuple(sorted(set(item[0]))))
             dst = Face(tuple(sorted(set(item[1]))))
             mapping[src] = dst

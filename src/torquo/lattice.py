@@ -35,6 +35,12 @@ def _as_int(x: object) -> int:
     return x
 
 
+def _as_rational(x: object) -> Fraction:
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise DimensionError(f"expected an integer or Fraction coordinate, got {x!r}")
+    return Fraction(x)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -180,7 +186,7 @@ class TorusPoint:
     coords: RationalVector
 
     def __post_init__(self) -> None:
-        coords = tuple(Fraction(x) % 1 for x in self.coords)
+        coords = tuple(_as_rational(x) % 1 for x in self.coords)
         if not coords:
             raise DimensionError("torus point needs at least one coordinate")
         object.__setattr__(self, "coords", coords)
@@ -213,7 +219,7 @@ class TorusPoint:
         return TorusPoint(tuple(-a for a in self.coords))
 
     def scaled(self, s: Fraction | int) -> "TorusPoint":
-        return TorusPoint(tuple(Fraction(s) * a for a in self.coords))
+        return TorusPoint(tuple(_as_rational(s) * a for a in self.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +376,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, UnimodularMatrix, Unimod
                 if a[s][j] != 0:
                     col_op(j, s, a[s][j] // a[s][s])
                     reduced = True
-            if reduced:
-                # remainders may survive; take another pass with a smaller pivot
-                if all(a[i][s] == 0 for i in range(s + 1, nr)) and all(
-                    a[s][j] == 0 for j in range(s + 1, nc)
-                ):
-                    pass
-                else:
-                    continue
+            # remainders may survive; take another pass with a smaller pivot
+            if reduced and (
+                any(a[i][s] for i in range(s + 1, nr)) or any(a[s][j] for j in range(s + 1, nc))
+            ):
+                continue
             if a[s][s] < 0:
                 negate_row(s)
             offender = next(
@@ -418,22 +421,50 @@ def is_primitive(v: Sequence[int]) -> bool:
 
 
 def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the given independent candidate rows extend to a Z-basis.
+    """Whether the given candidate rows extend to a Z-basis.
 
-    True exactly when all Smith invariant factors of the k x n stack equal 1
-    (equivalently the k x k minors have gcd 1).  The empty family extends
-    trivially.
+    True exactly when the k x k minors of the k x n stack have gcd 1.
+    Decided by fraction-free column reduction: unimodular column operations
+    bring the stack to [L | 0] with L lower triangular, and the rows extend
+    exactly when every diagonal entry of L is a unit.  Row i reaches the
+    diagonal with gcd(row[i:]) as its entry, so each row is first checked
+    for that gcd and the test stops at the first row where it is not 1;
+    otherwise Euclid steps over columns i..n-1 gather the gcd into column i
+    before the next row.  The empty family extends trivially.
     """
-    k = len(rows)
+    work = [[_as_int(x) for x in row] for row in rows]
+    k = len(work)
     if k == 0:
         return True
-    n = len(rows[0])
-    if any(len(row) != n for row in rows):
+    n = len(work[0])
+    if any(len(row) != n for row in work):
         raise DimensionError("ragged rows")
     if k > n:
         return False
-    factors = invariant_factors(IntMatrix.from_rows(rows))
-    return all(f == 1 for f in factors)
+    for i, pivot_row in enumerate(work):
+        if math.gcd(*pivot_row[i:]) != 1:
+            return False
+        if i == k - 1:
+            break
+        active = work[i:]
+        while True:
+            # bring the smallest nonzero entry of the pivot row into column i
+            c = i
+            for j in range(i + 1, n):
+                if pivot_row[j] and (not pivot_row[c] or abs(pivot_row[j]) < abs(pivot_row[c])):
+                    c = j
+            if c != i:
+                for row in active:
+                    row[i], row[c] = row[c], row[i]
+            pivot = pivot_row[i]
+            for j in range(i + 1, n):
+                q = pivot_row[j] // pivot
+                if q:
+                    for row in active:
+                        row[j] -= q * row[i]
+            if not any(pivot_row[i + 1 :]):
+                break
+    return True
 
 
 def complete_to_basis(rows: Sequence[Sequence[int]]) -> UnimodularMatrix:

@@ -23,6 +23,7 @@ from .lattice import (
     Sublattice,
     TorusPoint,
     UnimodularMatrix,
+    _as_rational,
     complete_to_basis,
     lattice_member,
     subtorus_contains,
@@ -295,7 +296,7 @@ def straight_line_homotopy_apply(
     the result to be independent of representatives; this function applies
     the formula to the given representative.
     """
-    s = Fraction(s)
+    s = _as_rational(s)
     if s < 0 or s > 1:
         raise PreconditionError(f"homotopy time {s} outside [0, 1]")
     if point.face not in reps:

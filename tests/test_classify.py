@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 import pytest
 
-from oracles import brute_force_equivalent
+from oracles import brute_force_equivalent, extends_oracle
 from torquo.char_pair import CharacteristicFunction, CharacteristicPair
 from torquo.classify import (
     EquivalenceWitness,
@@ -26,6 +28,7 @@ from torquo.lattice import IntMatrix, UnimodularMatrix
 
 from conftest import (
     hirzebruch_pair,
+    make_cube,
     make_square,
     make_triangle,
     random_unimodular,
@@ -311,6 +314,42 @@ def test_enumeration_agrees_across_job_counts():
         assert enumerate_characteristic(cx, 1, jobs=jobs) == single
     pinned_single = enumerate_characteristic(cx, 1, normalize=True, jobs=1)
     assert enumerate_characteristic(cx, 1, normalize=True, jobs=2) == pinned_single
+
+
+def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
+    """Every assignment from the full box that passes the oracle on every face.
+
+    The box is all of [-bound, bound]^n, zero vector included, so the
+    singleton faces filter primitivity through the oracle as well.  With
+    normalize, the facets of the lex-first maximal face are fixed to the
+    standard basis, which is the documented slice of the full search.
+    """
+    box = list(itertools.product(range(-bound, bound + 1), repeat=cx.n))
+    pinned = {}
+    if normalize:
+        for j, facet in enumerate(cx.maximal_faces[0].facets):
+            pinned[facet] = tuple(int(i == j) for i in range(cx.n))
+    domains = [[pinned[f]] if f in pinned else box for f in range(cx.m)]
+    faces = sorted((face.facets for face in cx.faces if face.facets), key=len)
+    # small faces first so most assignments fail early; the oracle is pure,
+    # so its answers are cached per face matrix
+    oracle = functools.lru_cache(maxsize=None)(extends_oracle)
+    return sorted(
+        rows
+        for rows in itertools.product(*domains)
+        if all(oracle(tuple(rows[i] for i in facets)) for facets in faces)
+    )
+
+
+@pytest.mark.parametrize(
+    "make, normalize",
+    [(make_triangle, False), (make_square, False), (make_cube, True)],
+    ids=["triangle", "square", "cube-normalized"],
+)
+def test_enumeration_matches_brute_force_oracle(make, normalize):
+    cx = make()
+    found = [f.vectors for f in enumerate_characteristic(cx, 1, normalize=normalize)]
+    assert found == brute_force_enumeration(cx, 1, normalize)
 
 
 def test_enumeration_input_checks():

@@ -441,6 +441,19 @@ def test_map_check_facet_map_negatives_and_errors(tmp_path):
     )
     assert code == 1 and "out-of-range" in err
 
+    for i, bad_ids in enumerate(([[0, "a"], [1]], [[0], [True]], [[-1], [0]], [[[0]], [1]])):
+        bad_face_map = tmp_path / f"bad_face_map{i}.json"
+        bad_face_map.write_text(json.dumps({"face_map": [bad_ids]}), encoding="utf-8")
+        code, out, err = invoke(
+            "map-check",
+            path("triangle.json"),
+            path("triangle.json"),
+            "--phi", str(bad_face_map),
+            "--sigma", "1,0;0,1",
+        )
+        assert code == 1 and out == "", bad_ids
+        assert err == f'error: {bad_face_map}: "face_map"[0] must list nonnegative facet ids\n'
+
     no_keys = tmp_path / "none.json"
     no_keys.write_text("{}", encoding="utf-8")
     code, _, err = invoke(

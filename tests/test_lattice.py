@@ -170,6 +170,13 @@ def test_extends_examples():
     assert extends_to_basis([[1, 0], [0, 1]])
     assert not extends_to_basis([[1, 0], [1, 0]])
     assert not extends_to_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    # zero and dependent rows, wherever the reduction meets them
+    assert not extends_to_basis([[0, 0]])
+    assert not extends_to_basis([[1, 0, 0], [0, 0, 0]])
+    assert not extends_to_basis([[0, 0, 0], [1, 0, 0]])
+    assert not extends_to_basis([[1, 2, 3], [2, 4, 6]])
+    assert not extends_to_basis([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    assert not extends_to_basis([[2, 1, 0], [-4, -2, 0]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,6 +184,31 @@ def test_extends_examples():
 def test_extends_matches_minor_oracle(rows):
     if len(rows) <= len(rows[0]):
         assert extends_to_basis(rows) == extends_oracle(rows)
+
+
+def test_extends_rejects_inexact_and_ragged_input():
+    for bad in ([[1.0, 0]], [[True, 0]], [[1, 0], [0, 1.5]], [[1, 0], [False, 1]]):
+        with pytest.raises(DimensionError):
+            extends_to_basis(bad)
+    for ragged in ([[1, 0], [0]], [[1], [0, 1]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(DimensionError):
+            extends_to_basis(ragged)
+
+
+def test_extends_large_entries_match_minor_oracle():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(k)]
+        if k >= 2 and rng.random() < 0.3:
+            # unit rows mixed by row operations make True answers common
+            rows = [[1 if i == j else 0 for j in range(n)] for i in range(k - 1)] + [rows[-1]]
+            for _ in range(3):
+                i, j = rng.sample(range(k), 2)
+                q = rng.randint(-10**3, 10**3)
+                rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        assert extends_to_basis(rows) == extends_oracle(rows), rows
 
 
 def test_extends_invariant_under_row_operations():
@@ -310,6 +342,12 @@ def test_torus_point_arithmetic():
     )
     with pytest.raises(DimensionError):
         p + TorusPoint((Fraction(0),))
+    assert TorusPoint((3, Fraction(-1, 2))).coords == (Fraction(0), Fraction(1, 2))
+    for bad in ((0.1, 0), (Fraction(1, 2), 0.5), (True, 0), (0, False), ("1/2", 0)):
+        with pytest.raises(DimensionError):
+            TorusPoint(bad)
+    with pytest.raises(DimensionError):
+        p.scaled(0.5)
 
 
 def test_is_primitive():

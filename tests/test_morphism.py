@@ -433,6 +433,9 @@ def test_homotopy_time_outside_unit_interval_raises():
         straight_line_homotopy_apply(ident, triangle_reps(), point, Fraction(3, 2))
     with pytest.raises(PreconditionError):
         straight_line_homotopy_apply(ident, triangle_reps(), point, -1)
+    for inexact in (0.5, True):
+        with pytest.raises(DimensionError):
+            straight_line_homotopy_apply(ident, triangle_reps(), point, inexact)
 
 
 def test_homotopy_missing_rep_raises():
