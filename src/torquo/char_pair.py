@@ -40,7 +40,9 @@ class CharacteristicFunction:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DimensionError("rank n must be >= 1")
-        vectors = tuple(tuple(_as_int(x) for x in row) for row in self.vectors)
+        vectors = tuple(
+            tuple(x if type(x) is int else _as_int(x) for x in row) for row in self.vectors
+        )
         if not vectors:
             raise DimensionError("characteristic function needs at least one facet")
         if any(len(row) != self.n for row in vectors):

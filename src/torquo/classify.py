@@ -12,7 +12,6 @@ not a heuristic.  Strict mode additionally demands sigma = identity.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -203,18 +202,39 @@ def _collect(
     pinned: dict[int, IntVector],
     override: tuple[int, Sequence[IntVector]] | None = None,
 ) -> list[tuple[IntVector, ...]]:
-    """Backtracking core; returns assignments as tuples of facet vectors.
+    """Constraint search core; returns assignments as tuples of facet vectors.
 
-    Faces are checked as soon as their last facet is assigned; singleton
-    faces need no check because every candidate is primitive.
+    Facets are assigned in index order, each from its domain: its options
+    (the candidates, the pinned vector or the override chunk) narrowed, in
+    option order, to the vectors that pass the pair test against every
+    earlier facet it shares a codimension-2 face with.  Assigning a facet
+    narrows the domains of its later codimension-2 neighbours at once
+    (forward checking), so a choice that leaves some neighbour without a
+    vector is dropped before the facets in between are tried.  Faces of
+    codimension >= 3 are checked when their last facet is assigned;
+    singleton faces need no check because every option is primitive.
+
+    Every face test is answered from a table local to this call, keyed by
+    the face's vectors in facet order, so each distinct tuple reaches
+    extends_to_basis once per call and nothing carries over between calls.
+    Options are sorted and domains keep their order, so assignments come
+    out in lexicographic order of their rows.
     """
-    check_at: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(cx.m)}
+    later: list[list[int]] = [[] for _ in range(cx.m)]
+    check_at: list[list[tuple[int, ...]]] = [[] for _ in range(cx.m)]
     for face in cx.faces:
-        if face.codim >= 2:
-            check_at[max(face.facets)].append(face.facets)
+        if face.codim == 2:
+            later[face.facets[0]].append(face.facets[1])
+        elif face.codim >= 3:
+            check_at[face.facets[-1]].append(face.facets)
 
-    assign: list[IntVector | None] = [None] * cx.m
-    results: list[tuple[IntVector, ...]] = []
+    table: dict[tuple[IntVector, ...], bool] = {}
+
+    def extends(rows: tuple[IntVector, ...]) -> bool:
+        answer = table.get(rows)
+        if answer is None:
+            answer = table[rows] = extends_to_basis(rows)
+        return answer
 
     def options(facet: int) -> Sequence[IntVector]:
         if facet in pinned:
@@ -223,20 +243,31 @@ def _collect(
             return override[1]
         return candidates
 
-    def admissible(facet: int) -> bool:
-        return all(
-            extends_to_basis([assign[i] for i in facets])
-            for facets in check_at[facet]
-        )
+    domains = [options(facet) for facet in range(cx.m)]
+    assign: list[IntVector | None] = [None] * cx.m
+    results: list[tuple[IntVector, ...]] = []
 
     def walk(facet: int) -> None:
         if facet == cx.m:
             results.append(tuple(assign))  # type: ignore[arg-type]
             return
-        for vec in options(facet):
+        saved = [(b, domains[b]) for b in later[facet]]
+        for vec in domains[facet]:
             assign[facet] = vec
-            if admissible(facet):
+            if not all(
+                extends(tuple(assign[i] for i in facets))  # type: ignore[arg-type]
+                for facets in check_at[facet]
+            ):
+                continue
+            for b, domain in saved:
+                narrowed = [w for w in domain if extends((vec, w))]
+                if not narrowed:
+                    break
+                domains[b] = narrowed
+            else:
                 walk(facet + 1)
+        for b, domain in saved:
+            domains[b] = domain
         assign[facet] = None
 
     walk(0)
@@ -259,8 +290,14 @@ def enumerate_characteristic(
     With normalize the facets of the lex-first maximal face are pinned to
     the standard basis vectors, cutting each weak class down without losing
     any: a change of basis by the inverse vertex matrix pins any valid
-    function.  Output is sorted lexicographically by the vector rows and is
-    identical for every jobs value.
+    function.
+
+    Output is in lexicographic order of the vector rows and identical for
+    every jobs value.  No sort is needed for that: the search emits its
+    assignments in that order, and with jobs > 1 the split facet's options
+    are cut into contiguous chunks whose results are joined in chunk order.
+    Each search keeps its own table of face tests (see _collect), so no
+    answer is reused across calls.
     """
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
@@ -281,10 +318,12 @@ def enumerate_characteristic(
             (cx.n, cx.m, maximal, bound, tuple(sorted(pinned.items())), split, chunk)
             for chunk in chunks
         ]
+        # imported here: multiprocessing is heavy and only this branch needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_collect_chunk, payloads))
         rows_list = [rows for part in parts for rows in part]
-    rows_list.sort()
     return [CharacteristicFunction(cx.n, rows) for rows in rows_list]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import ComplexInputError, DimensionError, NoSuchFaceError, SimplicityError
 
@@ -127,12 +127,6 @@ class FaceComplex:
         if key not in self._face_set:
             raise NoSuchFaceError(f"facets {key!r} have empty intersection")
         return Face(key)
-
-    def subfaces(self, face: Face) -> Iterator[Face]:
-        """All faces containing this one as a subspace (smaller facet sets)."""
-        for k in range(face.codim + 1):
-            for combo in itertools.combinations(face.facets, k):
-                yield Face(combo)
 
     def covered_by(self, face: Face) -> Iterator[tuple[Face, Face]]:
         """Covering pairs (g, face) with g one facet short of face."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .char_pair import CharacteristicPair, ModelPoint
 from .errors import DimensionError, NoSuchFaceError, PreconditionError
@@ -53,15 +53,10 @@ def check_skeletal(
         image = mapping[face]
         if image.codim < face.codim:
             return face
-        for sub, _ in _covering_pairs(face):
+        for sub, _ in source.covered_by(face):
             if not set(mapping[sub].facets) <= set(image.facets):
                 return face
     return None
-
-
-def _covering_pairs(face: Face) -> Iterable[tuple[Face, Face]]:
-    for drop in face.facets:
-        yield Face(tuple(i for i in face.facets if i != drop)), face
 
 
 class SkeletalMap:
@@ -276,7 +271,7 @@ def check_reps_coherence(
             continue
         image = morphism.face_map[face]
         lattice = target.isotropy_lattice(image)
-        for sub, _ in _covering_pairs(face):
+        for sub, _ in cx.covered_by(face):
             diff = reps[face] - reps[sub]
             if not subtorus_contains(diff, lattice):
                 return sub, face

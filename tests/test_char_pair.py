@@ -39,7 +39,16 @@ def test_function_shape_checks():
         CharacteristicPair(make_triangle(), CharacteristicFunction(2, ((1, 0), (0, 1))))
     with pytest.raises(DimensionError):
         CharacteristicPair(make_triangle(), CharacteristicFunction(3, ((1, 0, 0),) * 3))
-    for rows in (((1.7, 0), (0, 1)), ((1.0, 0), (0, 1)), ((True, 0), (0, 1)), ((1, 0), (0, False))):
+    for rows in (
+        ((1.7, 0), (0, 1)),
+        ((1.0, 0), (0, 1)),
+        ((True, 0), (0, 1)),
+        ((1, 0), (0, False)),
+        (("1", 0), (0, 1)),
+        ((1, 0), (0, "1")),
+        (([1], 0), (0, 1)),
+        ((1, 0), (0, [[1]])),
+    ):
         with pytest.raises(DimensionError):
             CharacteristicFunction(2, rows)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -9,6 +10,7 @@ import random
 import pytest
 
 from oracles import brute_force_equivalent, extends_oracle
+import torquo.classify as classify_module
 from torquo.char_pair import CharacteristicFunction, CharacteristicPair
 from torquo.classify import (
     EquivalenceWitness,
@@ -29,6 +31,8 @@ from torquo.lattice import IntMatrix, UnimodularMatrix
 from conftest import (
     hirzebruch_pair,
     make_cube,
+    make_pentagon,
+    make_simplex3,
     make_square,
     make_triangle,
     random_unimodular,
@@ -342,14 +346,52 @@ def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
 
 
 @pytest.mark.parametrize(
-    "make, normalize",
-    [(make_triangle, False), (make_square, False), (make_cube, True)],
-    ids=["triangle", "square", "cube-normalized"],
+    "make, normalize, jobs",
+    [
+        (make_triangle, False, 1),
+        (make_square, False, 1),
+        (make_square, False, 2),
+        (make_square, False, 3),
+        (make_pentagon, False, 1),
+        (make_simplex3, True, 1),
+        (make_cube, True, 1),
+    ],
+    ids=[
+        "triangle",
+        "square",
+        "square-jobs2",
+        "square-jobs3",
+        "pentagon",
+        "simplex3-normalized",
+        "cube-normalized",
+    ],
 )
-def test_enumeration_matches_brute_force_oracle(make, normalize):
+def test_enumeration_matches_brute_force_oracle(make, normalize, jobs):
+    # exact ordered comparison: the oracle sorts its own output, the search
+    # must emit that order without sorting
     cx = make()
-    found = [f.vectors for f in enumerate_characteristic(cx, 1, normalize=normalize)]
-    assert found == brute_force_enumeration(cx, 1, normalize)
+    found = enumerate_characteristic(cx, 1, normalize=normalize, jobs=jobs)
+    assert [f.vectors for f in found] == brute_force_enumeration(cx, 1, normalize)
+
+
+def test_enumeration_decides_each_face_tuple_once_per_call(monkeypatch):
+    cx = make_cube()
+    expected = enumerate_characteristic(cx, 1, normalize=True)
+    real = classify_module.extends_to_basis
+    calls: list[collections.Counter] = []
+
+    def recorder(rows):
+        calls[-1][tuple(tuple(row) for row in rows)] += 1
+        return real(rows)
+
+    monkeypatch.setattr(classify_module, "extends_to_basis", recorder)
+    for _ in range(2):
+        calls.append(collections.Counter())
+        assert enumerate_characteristic(cx, 1, normalize=True) == expected
+    first, second = calls
+    assert first and max(first.values()) == 1
+    # a second call tests again: no answer is carried over between calls
+    assert second == first
 
 
 def test_enumeration_input_checks():
