@@ -46,20 +46,18 @@ class InvariantSignature:
 def invariant_signature(pair: CharacteristicPair) -> InvariantSignature:
     """Signature preserved by every equivalence; a fast-reject filter.
 
-    The vertex determinant multiset is always {1,...} for validated pairs;
-    it is kept because the signature is defined on the raw data.
+    vertex_dets holds |det| of the facet vectors at each maximal face.  The
+    pair is validated first, and on a valid pair the n vectors of every
+    maximal face form a lattice basis, so each entry is 1 without computing
+    a determinant.
     """
     pair.require_valid()
     cx = pair.complex
-    dets = sorted(
-        abs(IntMatrix.from_rows(pair.face_vectors(face)).det())
-        for face in cx.maximal_faces
-    )
     return InvariantSignature(
         n=cx.n,
         facet_count=cx.m,
         face_counts=tuple(len(cx.faces_of_codim(k)) for k in range(cx.n + 1)),
-        vertex_dets=tuple(dets),
+        vertex_dets=(1,) * len(cx.maximal_faces),
         fixed_points=pair.fixed_point_count(),
     )
 

@@ -78,12 +78,15 @@ def _load_problem(path: str) -> ProblemFile:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _load_pair(path: str) -> CharacteristicPair:
-    problem = _load_problem(path)
+def _build_pair(problem: ProblemFile, path: str) -> CharacteristicPair:
     try:
         return problem.build_pair()
     except TorquoError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _load_pair(path: str) -> CharacteristicPair:
+    return _build_pair(_load_problem(path), path)
 
 
 def _parse_face_flag(text: str) -> tuple[int, ...]:
@@ -255,19 +258,10 @@ def _validated_pair_or_report(pair: CharacteristicPair, command: str, out) -> bo
 
 def _cmd_validate(args: argparse.Namespace, out) -> int:
     pair = _load_pair(args.file)
-    violation = pair.first_violation()
-    if violation is None:
-        _emit({"command": "validate", "valid": True}, out)
-        return EXIT_OK
-    _emit(
-        {
-            "command": "validate",
-            "valid": False,
-            "violation_face": list(violation.facets),
-        },
-        out,
-    )
-    return EXIT_NEGATIVE
+    if not _validated_pair_or_report(pair, "validate", out):
+        return EXIT_NEGATIVE
+    _emit({"command": "validate", "valid": True}, out)
+    return EXIT_OK
 
 
 def _cmd_strata(args: argparse.Namespace, out) -> int:
@@ -339,15 +333,12 @@ def _cmd_point_eq(args: argparse.Namespace, out) -> int:
 
 
 def _checked_morphism(
-    args: argparse.Namespace, out, command: str
-) -> tuple[Morphism, CharacteristicPair, CharacteristicPair, ProblemFile] | int:
+    args: argparse.Namespace, out, command: str, src: CharacteristicPair, dst: CharacteristicPair
+) -> Morphism | int:
     """Build and fully check the morphism of map-check/homotopy-sample.
 
     Returns an exit code directly when a well-formed negative was reported.
     """
-    src_problem = _load_problem(args.source)
-    src = _load_pair(args.source)
-    dst = _load_pair(args.target)
     if not _validated_pair_or_report(src, command, out):
         return EXIT_NEGATIVE
     if not _validated_pair_or_report(dst, command, out):
@@ -383,14 +374,15 @@ def _checked_morphism(
             out,
         )
         return EXIT_NEGATIVE
-    return morphism, src, dst, src_problem
+    return morphism
 
 
 def _cmd_map_check(args: argparse.Namespace, out) -> int:
-    result = _checked_morphism(args, out, "map-check")
-    if isinstance(result, int):
-        return result
-    morphism, src, dst, _ = result
+    src = _load_pair(args.source)
+    dst = _load_pair(args.target)
+    morphism = _checked_morphism(args, out, "map-check", src, dst)
+    if isinstance(morphism, int):
+        return morphism
     _emit(
         {
             "command": "map-check",
@@ -409,10 +401,11 @@ def _cmd_homotopy_sample(args: argparse.Namespace, out) -> int:
     _require_contractible(src_problem, args.source)
     dst_problem = _load_problem(args.target)
     _require_contractible(dst_problem, args.target)
-    result = _checked_morphism(args, out, "homotopy-sample")
-    if isinstance(result, int):
-        return result
-    morphism, src, dst, src_problem = result
+    src = _build_pair(src_problem, args.source)
+    dst = _build_pair(dst_problem, args.target)
+    morphism = _checked_morphism(args, out, "homotopy-sample", src, dst)
+    if isinstance(morphism, int):
+        return morphism
     reps = src_problem.reps_table()
     if reps is None:
         raise InputError(f"{args.source}: document has no \"reps\" table")
@@ -465,8 +458,8 @@ def _cmd_eq(args: argparse.Namespace, out) -> int:
     second_problem = _load_problem(args.second)
     _require_contractible(first_problem, args.first)
     _require_contractible(second_problem, args.second)
-    first = _load_pair(args.first)
-    second = _load_pair(args.second)
+    first = _build_pair(first_problem, args.first)
+    second = _build_pair(second_problem, args.second)
     if not _validated_pair_or_report(first, "eq", out):
         return EXIT_NEGATIVE
     if not _validated_pair_or_report(second, "eq", out):

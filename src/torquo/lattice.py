@@ -12,14 +12,19 @@ Conventions:
   last nonzero entry, pivot columns strictly increase downward, pivots are
   positive, and entries below a pivot (in later rows) are reduced into
   [0, pivot);
-* Smith form D = U @ M @ V with U, V unimodular and nonnegative diagonal
-  entries in divisibility order.
+* one column reduction (Cohen, Computational Algebraic Number Theory,
+  2.4) serves basis extension, completion, inverses and subtori: for rows
+  R extending to a basis it gives a unimodular V with R @ V = [I | 0],
+  and the last n - k columns of V span the integer vectors orthogonal to R;
+* Smith form, kept for invariant factors: D = U @ M @ V with U, V
+  unimodular and nonnegative diagonal entries in divisibility order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -152,23 +157,8 @@ class UnimodularMatrix(IntMatrix):
             raise PreconditionError("matrix determinant is not +-1")
 
     def inverse(self) -> "UnimodularMatrix":
-        """Exact inverse; integral because the determinant is a unit."""
-        n = self.nrows
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        for col in range(n):
-            piv = next(i for i in range(col, n) if aug[i][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = aug[col][col]
-            aug[col] = [x / scale for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col] != 0:
-                    factor = aug[i][col]
-                    aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-        rows = tuple(tuple(int(x) for x in row[n:]) for row in aug)
-        return UnimodularMatrix(rows)
+        """Exact inverse: the column reduction V of the rows, since M @ V = I."""
+        return UnimodularMatrix(tuple(map(tuple, _reduce_to_identity(self.rows))))
 
     def act(self, point: "TorusPoint") -> "TorusPoint":
         """Induced automorphism of the torus."""
@@ -306,6 +296,17 @@ class Sublattice:
         """Whether the basis extends to a basis of the ambient lattice."""
         return extends_to_basis(self.basis) if self.basis else True
 
+    @cached_property
+    def _annihilator(self) -> tuple[IntVector, ...] | None:
+        """Last n - k columns of V with basis @ V = [I | 0]; None if unsaturated."""
+        n = self.ambient
+        if not self.basis:
+            return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        v = _reduce_to_identity(self.basis)
+        if v is None:
+            return None
+        return tuple(tuple(row[j] for row in v) for j in range(self.rank, n))
+
 
 def _last_nonzero(row: Sequence[int]) -> int:
     for j in reversed(range(len(row))):
@@ -420,33 +421,31 @@ def is_primitive(v: Sequence[int]) -> bool:
     return math.gcd(*(abs(_as_int(x)) for x in v)) == 1 if len(v) else False
 
 
-def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the given candidate rows extend to a Z-basis.
+def _column_reduce(
+    rows: Sequence[Sequence[int]], riders: list[list[int]]
+) -> list[list[int]] | None:
+    """The k x n stack brought to [L | 0] by column steps; None if it does not extend.
 
-    True exactly when the k x k minors of the k x n stack have gcd 1.
-    Decided by fraction-free column reduction: unimodular column operations
-    bring the stack to [L | 0] with L lower triangular, and the rows extend
-    exactly when every diagonal entry of L is a unit.  Row i reaches the
-    diagonal with gcd(row[i:]) as its entry, so each row is first checked
-    for that gcd and the test stops at the first row where it is not 1;
-    otherwise Euclid steps over columns i..n-1 gather the gcd into column i
-    before the next row.  The empty family extends trivially.
+    Row i reaches the diagonal as gcd(row[i:]), so the reduction stops at
+    the first row where that is not 1; otherwise Euclid steps on columns
+    i..n-1 move it into column i.  Riders take the same steps in place, so
+    identity riders become V with rows @ V = [L | 0]; without riders the
+    last row is only gcd-checked.
     """
     work = [[_as_int(x) for x in row] for row in rows]
-    k = len(work)
-    if k == 0:
-        return True
-    n = len(work[0])
+    if not work:
+        return work
+    k, n = len(work), len(work[0])
     if any(len(row) != n for row in work):
         raise DimensionError("ragged rows")
     if k > n:
-        return False
+        return None
     for i, pivot_row in enumerate(work):
         if math.gcd(*pivot_row[i:]) != 1:
-            return False
-        if i == k - 1:
+            return None
+        if i == k - 1 and not riders:
             break
-        active = work[i:]
+        active = work[i:] + riders
         while True:
             # bring the smallest nonzero entry of the pivot row into column i
             c = i
@@ -464,36 +463,56 @@ def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:
                         row[j] -= q * row[i]
             if not any(pivot_row[i + 1 :]):
                 break
-    return True
+    return work
+
+
+def _reduce_to_identity(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """Unimodular V with rows @ V = [I | 0], or None if no such V exists.
+
+    Column sign flips and then clearing below the diagonal, row by row,
+    turn the unit lower-triangular L of the column reduction into I.
+    """
+    n = len(rows[0])
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    work = _column_reduce(rows, v)
+    if work is None:
+        return None
+    every = work + v
+    for i in range(len(work)):
+        if work[i][i] < 0:
+            for row in every:
+                row[i] = -row[i]
+    for j in range(1, len(work)):
+        for i in range(j):
+            q = work[j][i]
+            if q:
+                for row in every:
+                    row[i] -= q * row[j]
+    return v
+
+
+def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the given candidate rows extend to a Z-basis.
+
+    True exactly when the k x k minors of the k x n stack have gcd 1, that
+    is when the column reduction of the stack reaches [L | 0] with every
+    diagonal entry of L a unit.  The empty family extends trivially.
+    """
+    return _column_reduce(rows, []) is not None
 
 
 def complete_to_basis(rows: Sequence[Sequence[int]]) -> UnimodularMatrix:
     """Extend rows to a unimodular matrix whose first k rows are the input.
 
-    Precondition: extends_to_basis(rows).  Uses the Smith transforms: with
-    U R V = [I | 0], the block matrix diag(U^-1, I) @ V^-1 restricts to R on
-    its top rows and has unit determinant.
+    Precondition: extends_to_basis(rows).  With rows @ V = [I | 0], the
+    first k rows of V^-1 are exactly the input rows.
     """
-    k = len(rows)
-    if k == 0:
+    if not rows:
         raise PreconditionError("cannot infer the ambient dimension from no rows")
-    n = len(rows[0])
-    if not extends_to_basis(rows):
+    v = _reduce_to_identity(rows)
+    if v is None:
         raise PreconditionError("rows do not extend to a basis of the standard lattice")
-    if k == n:
-        return UnimodularMatrix(tuple(tuple(row) for row in rows))
-    r = IntMatrix.from_rows(rows)
-    _, u, v = smith_normal_form(r)
-    u_inv = u.inverse()
-    v_inv = v.inverse()
-    block = [[0] * n for _ in range(n)]
-    for i in range(k):
-        for j in range(k):
-            block[i][j] = u_inv.rows[i][j]
-    for i in range(k, n):
-        block[i][i] = 1
-    result = IntMatrix.from_rows(block) @ v_inv
-    return UnimodularMatrix(result.rows)
+    return UnimodularMatrix(tuple(map(tuple, v))).inverse()
 
 
 def lattice_member(v: Sequence[int], lattice: Sublattice) -> bool:
@@ -504,25 +523,18 @@ def subtorus_contains(point: TorusPoint, lattice: Sublattice) -> bool:
     """Whether the torus point lies on the subtorus generated by the lattice.
 
     The subtorus of a saturated rank-k sublattice L is the image of
-    span_R(L) in T^n; with U = [A | B] a unimodular completion of the basis
-    A, membership of t is integrality of the last n - k coordinates of
-    U^-1 t.  Rational points may sit on the subtorus without being integer
-    combinations of basis directions, so this is genuinely weaker than
-    lattice membership of a lift.
+    span_R(L) in T^n: the points t with w . t integral for each of the last
+    n - k columns w of V, where basis @ V = [I | 0].  Rational points may
+    sit on the subtorus without being integer combinations of basis
+    directions, so this is genuinely weaker than lattice membership.
     """
     if point.dim != lattice.ambient:
         raise DimensionError(
             f"point dimension {point.dim} does not match ambient {lattice.ambient}"
         )
-    if not lattice.is_saturated():
+    annihilator = lattice._annihilator
+    if annihilator is None:
         raise PreconditionError("subtorus membership needs a saturated sublattice")
-    k = lattice.rank
-    n = lattice.ambient
-    if k == n:
-        return True
-    if k == 0:
-        return point.is_zero
-    completion = complete_to_basis(lattice.basis)
-    u_inv = UnimodularMatrix(completion.transpose().rows).inverse()
-    s = u_inv.mul_rational(point.coords)
-    return all(x.denominator == 1 for x in s[k:])
+    return all(
+        sum(a * x for a, x in zip(w, point.coords)).denominator == 1 for w in annihilator
+    )

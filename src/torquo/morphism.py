@@ -24,7 +24,6 @@ from .lattice import (
     TorusPoint,
     UnimodularMatrix,
     _as_rational,
-    complete_to_basis,
     lattice_member,
     subtorus_contains,
 )
@@ -207,20 +206,14 @@ def _escape_witness(
 ) -> tuple[ModelPoint, ModelPoint]:
     """Equal source points whose induced images differ.
 
-    The moved facet vector has a nonzero coordinate r in the complement
-    block of the image isotropy; scaling the facet circle by 1/(2|r|) stays
-    on the source isotropy subtorus but shifts the image off the target one
-    by exactly one half in that coordinate.
+    The moved facet vector leaves the image isotropy lattice, so its dot
+    product r with some annihilator vector of that lattice is nonzero; the
+    first such r is taken.  Scaling the facet circle by 1/(2|r|) stays on
+    the source isotropy subtorus but shifts the image off the target one by
+    exactly one half in that dual coordinate.
     """
-    if lattice.rank == 0:
-        complement = moved
-        offset = 0
-    else:
-        completion = complete_to_basis(lattice.basis)
-        u_inv = UnimodularMatrix(completion.transpose().rows).inverse()
-        complement = u_inv.mul_vector(moved)
-        offset = lattice.rank
-    r = next(x for x in complement[offset:] if x != 0)
+    dots = (sum(a * b for a, b in zip(w, moved)) for w in lattice._annihilator)
+    r = next(x for x in dots if x)
     scale = Fraction(1, 2 * abs(r))
     vector = source.char.vector(facet)
     face = Face((facet,))

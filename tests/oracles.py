@@ -2,9 +2,9 @@
 
 Everything here is written against the mathematical definitions directly,
 avoiding the package's own linear algebra: cofactor determinants, gcd of
-all k x k minors, rational Gaussian elimination, and a permutation-level
-brute-force equivalence decision.  Slow on purpose; used only at desk
-scale.
+all k x k minors, rational Gaussian elimination, a brute-force search for
+subtorus membership, and a permutation-level brute-force equivalence
+decision.  Slow on purpose; used only at desk scale.
 """
 
 from __future__ import annotations
@@ -112,6 +112,50 @@ def member_oracle(vector: Sequence[int], basis: Sequence[Sequence[int]]) -> bool
             return False
         residual = [r - coeff * x for r, x in zip(residual, row)]
     return not any(residual)
+
+
+def subtorus_oracle(
+    coords: Sequence[Fraction], generators: Sequence[Sequence[int]]
+) -> bool:
+    """Whether t lies on the subtorus of the lattice L spanned by the rows.
+
+    Precondition: L is saturated.  With D the common denominator of t,
+    t = s.B + z (s real, z integral) puts D(t - z) in span_R(L) and in Z^n,
+    hence in L, so D t == c.B (mod D) for an integer vector c that may be
+    reduced mod D; conversely such a c writes t = (c / D).B + z.  Brute
+    force over c in {0..D-1}^k with the raw generators B.
+    """
+    den = math.lcm(*(Fraction(x).denominator for x in coords))
+    scaled = [Fraction(x) * den for x in coords]
+    for c in itertools.product(range(den), repeat=len(generators)):
+        if all(
+            (sum(ci * row[j] for ci, row in zip(c, generators)) - x) % den == 0
+            for j, x in enumerate(scaled)
+        ):
+            return True
+    return False
+
+
+def witness_certifies(
+    sigma: Sequence[Sequence[int]],
+    source: CharacteristicPair,
+    target: CharacteristicPair,
+    image_face_facets: Sequence[int],
+    facet: int,
+    first: Sequence[Fraction],
+    second: Sequence[Fraction],
+) -> bool:
+    """Whether two points over a facet certify that sigma induces no map.
+
+    They must be one point of the source model (their difference lies on
+    the facet's isotropy subtorus) while their images under sigma differ
+    on the isotropy subtorus of the image face in the target.
+    """
+    diff = [b - a for a, b in zip(first, second)]
+    moved = [sum(x * d for x, d in zip(row, diff)) for row in sigma]
+    source_gens = [source.char.vector(facet)]
+    target_gens = [target.char.vector(i) for i in image_face_facets]
+    return subtorus_oracle(diff, source_gens) and not subtorus_oracle(moved, target_gens)
 
 
 def brute_force_equivalent(

@@ -11,7 +11,7 @@ import io
 import random
 import time
 
-from oracles import brute_force_equivalent, extends_oracle
+from oracles import brute_force_equivalent, extends_oracle, witness_certifies
 from torquo.char_pair import CharacteristicPair, validate_characteristic
 from torquo.classify import (
     enumerate_characteristic,
@@ -117,6 +117,10 @@ def test_c3_induced_maps_are_well_defined_and_failures_certified():
         assert source.points_equal(a, b)
         assert not source.points_equal(
             induced_map_apply(morphism, a), induced_map_apply(morphism, b)
+        )
+        assert witness_certifies(
+            morphism.torus_map.rows, source, source,
+            morphism.face_map[a.face].facets, violation.facet, a.t.coords, b.t.coords,
         )
         certified += 1
     elapsed = time.perf_counter() - start

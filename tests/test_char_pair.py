@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import subtorus_oracle
 from conftest import (
     equivalent_partner,
     hirzebruch_pair,
@@ -161,6 +162,33 @@ def test_points_equal_is_equivalence_relation():
         assert pair.points_equal(p, q) and pair.points_equal(q, p)
         assert pair.points_equal(q, r)
         assert pair.points_equal(p, r)
+
+
+def test_points_equal_matches_brute_force_oracle():
+    # same face and tag, so equality is subtorus membership of the
+    # difference; the oracle works from the raw facet vectors of the face
+    rng = random.Random(59)
+    positives = negatives = 0
+    for _ in range(150):
+        pair = random_valid_pair(rng)
+        face = rng.choice(pair.complex.faces)
+        vectors = pair.face_vectors(face)
+        den = rng.choice((2, 3, 4, 6))
+        p = [Fraction(rng.randint(0, den - 1), den) for _ in range(pair.n)]
+        for _ in range(3):
+            q = [Fraction(rng.randint(0, den - 1), den) for _ in range(pair.n)]
+            if vectors and rng.random() < 0.5:
+                c = [Fraction(rng.randint(-den, den), den) for _ in vectors]
+                q = [x + sum(ci * v[j] for ci, v in zip(c, vectors)) for j, x in enumerate(p)]
+            expected = subtorus_oracle([b - a for a, b in zip(p, q)], vectors)
+            got = pair.points_equal(
+                ModelPoint(TorusPoint(tuple(p)), face, "a"),
+                ModelPoint(TorusPoint(tuple(q)), face, "a"),
+            )
+            assert got == expected, (pair, face, p, q)
+            positives += expected
+            negatives += not expected
+    assert positives > 100 and negatives > 100
 
 
 def test_orbit_strata():

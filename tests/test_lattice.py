@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import extends_oracle, member_oracle, minor_gcd
+from oracles import extends_oracle, member_oracle, minor_gcd, subtorus_oracle
 from torquo.errors import DimensionError, PreconditionError
 from torquo.lattice import (
     IntMatrix,
@@ -80,6 +80,21 @@ def test_unimodular_inverse_round_trip():
         u = UnimodularMatrix(tuple(tuple(r) for r in rows))
         assert (u @ u.inverse()).rows == IntMatrix.identity(n).rows
         assert (u.inverse() @ u).rows == IntMatrix.identity(n).rows
+    # n = 5 with entries up to 10^6: upper and lower unitriangular factors
+    # and their product, with a sign flip and a row swap
+    for _ in range(20):
+        upper = [[int(i == j) or (rng.randint(-10**6, 10**6) if j > i else 0)
+                  for j in range(5)] for i in range(5)]
+        lower = [[int(i == j) or (rng.randint(-9, 9) if j < i else 0)
+                  for j in range(5)] for i in range(5)]
+        product = (IntMatrix.from_rows(upper) @ IntMatrix.from_rows(lower)).rows
+        flipped = [list(r) for r in product]
+        flipped[0] = [-a for a in flipped[0]]
+        flipped[1], flipped[4] = flipped[4], flipped[1]
+        for rows in (upper, lower, product, flipped):
+            u = UnimodularMatrix(tuple(tuple(r) for r in rows))
+            assert (u @ u.inverse()).rows == IntMatrix.identity(5).rows
+            assert (u.inverse() @ u).rows == IntMatrix.identity(5).rows
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +256,17 @@ def test_complete_to_basis_contract():
         assert [list(r) for r in w.rows[:k]] == rows
         assert w.det() in (1, -1)
         done += 1
+    # large entries, and every k up to k = n, from rows of unimodular matrices
+    for n in range(1, 6):
+        upper = [[int(i == j) or (rng.randint(-10**6, 10**6) if j > i else 0)
+                  for j in range(n)] for i in range(n)]
+        lower = [[int(i == j) or (rng.randint(-10**3, 10**3) if j < i else 0)
+                  for j in range(n)] for i in range(n)]
+        full = [list(r) for r in (IntMatrix.from_rows(lower) @ IntMatrix.from_rows(upper)).rows]
+        for k in range(1, n + 1):
+            w = complete_to_basis(full[:k])
+            assert [list(r) for r in w.rows[:k]] == full[:k]
+            assert w.det() in (1, -1)
     with pytest.raises(PreconditionError):
         complete_to_basis([[2, 0]])
     with pytest.raises(PreconditionError):
@@ -316,6 +342,45 @@ def test_subtorus_contains_rational_span():
             coords = [a + c * b for a, b in zip(coords, row)]
         assert subtorus_contains(TorusPoint(tuple(coords)), lattice)
         checked += 1
+
+
+def test_subtorus_contains_matches_brute_force_oracle():
+    # saturated lattices from rows of random unimodular matrices, sometimes
+    # with a redundant generator; the oracle sees the raw generators
+    rng = random.Random(41)
+    positives = negatives = 0
+    for _ in range(250):
+        n = rng.randint(1, 4)
+        k = rng.randint(0, n)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(10):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                q = rng.randint(-4, 4)
+                rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        generators = rows[:k]
+        if 1 <= k <= 2 and rng.random() < 0.3:
+            generators = generators + [[a - 2 * b for a, b in zip(rows[0], rows[k - 1])]]
+        lattice = Sublattice.spanned_by(n, generators)
+        den = rng.choice((2, 3, 4, 6))
+        for _ in range(4):
+            coords = [Fraction(rng.randint(-den, 2 * den), den) for _ in range(n)]
+            if k and rng.random() < 0.5:
+                # a point of the subtorus, sometimes pushed off it in one coordinate
+                c = [Fraction(rng.randint(0, den - 1), den) for _ in range(k)]
+                coords = [
+                    sum(ci * row[j] for ci, row in zip(c, rows)) + rng.randint(-2, 2)
+                    for j in range(n)
+                ]
+                if rng.random() < 0.3:
+                    coords[rng.randrange(n)] += Fraction(1, den)
+            expected = subtorus_oracle(coords, generators)
+            assert subtorus_contains(TorusPoint(tuple(coords)), lattice) == expected, (
+                generators, coords,
+            )
+            positives += expected
+            negatives += not expected
+    assert positives > 300 and negatives > 300
 
 
 def test_subtorus_membership_well_defined_mod_one():

@@ -25,8 +25,10 @@ from torquo.morphism import (
     straight_line_homotopy_apply,
 )
 
+from oracles import witness_certifies
 from conftest import (
     coherent_reps,
+    cube_pair,
     equivalent_partner,
     hirzebruch_pair,
     make_segment,
@@ -249,15 +251,36 @@ def test_shear_against_identity_facet_map_is_incompatible():
 
 
 def test_violation_witness_certifies_the_failure():
-    pair = triangle_pair()
-    sigma = unimod(((1, 1), (0, 1)))
-    morphism = Morphism(sigma, identity_skeletal(pair.complex))
-    violation = check_compatibility(morphism, pair, pair)
-    p, q = violation.source_points
-    assert pair.points_equal(p, q)
-    image_p = induced_map_apply(morphism, p)
-    image_q = induced_map_apply(morphism, q)
-    assert not pair.points_equal(image_p, image_q)
+    triangle = triangle_pair()
+    shear = Morphism(unimod(((1, 1), (0, 1))), identity_skeletal(triangle.complex))
+    # the cube folded onto facet 4 (each face drops facet 5 and gains 4):
+    # facet 0 lands on the edge {0, 4}, whose isotropy has rank 2 in T^3,
+    # and the shear e1 -> e1 + e2 moves lambda(0) off it
+    cube = cube_pair()
+    fold = {
+        face: Face(tuple(sorted((set(face.facets) - {5}) | {4})))
+        for face in cube.complex.faces
+    }
+    sheared_fold = Morphism(
+        unimod(((1, 0, 0), (1, 1, 0), (0, 0, 1))),
+        SkeletalMap(cube.complex, cube.complex, fold),
+    )
+    for pair, morphism, facet, image_rank in (
+        (triangle, shear, 1, 1),
+        (cube, sheared_fold, 0, 2),
+    ):
+        violation = check_compatibility(morphism, pair, pair)
+        assert violation.facet == facet
+        image_face = morphism.face_map[Face((facet,))]
+        assert pair.isotropy_lattice(image_face).rank == image_rank
+        p, q = violation.source_points
+        assert pair.points_equal(p, q)
+        image_p = induced_map_apply(morphism, p)
+        image_q = induced_map_apply(morphism, q)
+        assert not pair.points_equal(image_p, image_q)
+        assert witness_certifies(
+            morphism.torus_map.rows, pair, pair, image_face.facets, facet, p.t.coords, q.t.coords
+        )
 
 
 def test_random_incompatibilities_always_come_with_witnesses():
@@ -277,6 +300,11 @@ def test_random_incompatibilities_always_come_with_witnesses():
         assert source.points_equal(p, q)
         assert not source.points_equal(
             induced_map_apply(morphism, p), induced_map_apply(morphism, q)
+        )
+        image_face = morphism.face_map[p.face]
+        assert witness_certifies(
+            morphism.torus_map.rows, source, source, image_face.facets,
+            violation.facet, p.t.coords, q.t.coords,
         )
 
 
