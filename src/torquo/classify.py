@@ -7,18 +7,27 @@ face form a lattice basis, so fixing phi and the signs on one base vertex
 determines sigma by exact linear algebra; running over all isomorphisms
 and the 2^n base sign choices is therefore a complete decision procedure,
 not a heuristic.  Strict mode additionally demands sigma = identity.
+
+Both equivalent and weak_classes are lookups of one form (see _forms):
+the facet vectors written in the basis of the base-vertex vectors, scaled
+by a base sign vector and taken up to sign per facet.  A sign choice gives
+an equivalence along an isomorphism exactly when the forms on both sides
+agree, so equivalent indexes the first function's forms and looks up the
+second's along each isomorphism, and weak_classes indexes each new class's
+forms along every automorphism and looks up each function once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .char_pair import CharacteristicFunction, CharacteristicPair
 from .errors import DimensionError, PreconditionError
 from .face_complex import FaceComplex, isomorphisms
 from .lattice import IntMatrix, IntVector, UnimodularMatrix, extends_to_basis, is_primitive
+from .lattice import _reduce_to_identity
 
 MODES = ("strict", "weak")
 
@@ -89,14 +98,49 @@ def verify_witness(
     return True
 
 
+def _forms(
+    vectors: Sequence[IntVector], base: Sequence[int]
+) -> Iterator[tuple[tuple[IntVector, ...], tuple[int, ...]]]:
+    """Yield (form, D) for every base sign vector D, in product order.
+
+    The facet vectors are written in the basis of the base-vertex vectors,
+    coords = vec @ V with base rows @ V = I; the form at D multiplies
+    coordinate j by D_j and takes each facet's row up to sign.
+
+    With facets lined up by a bijection h, sigma = C diag(D) B^-1 sends
+    every lambda(i) to +-mu(h(i)) exactly when form(lambda, D) ==
+    form(mu o h, all plus), where B holds the base vectors of lambda and C
+    those of mu o h as columns.  Forward: applying C^-1 to sigma lambda(i)
+    = +-mu(h(i)) gives diag(D) B^-1 lambda(i) = +-C^-1 mu(h(i)), row by
+    row the two forms.  Back: applying C to that equation gives sigma
+    lambda(i) = +-mu(h(i)).  Both directions need B and C unimodular,
+    which holds on validated pairs.
+    """
+    v = _reduce_to_identity([vectors[i] for i in base])
+    coords = [tuple(sum(a * b for a, b in zip(vec, col)) for col in zip(*v)) for vec in vectors]
+    for signs in itertools.product((1, -1), repeat=len(base)):
+        form = tuple(_up_to_sign([d * x for d, x in zip(signs, row)]) for row in coords)
+        yield form, signs
+
+
+def _up_to_sign(row: list[int]) -> IntVector:
+    """The row or its negative, whichever has a positive first nonzero entry."""
+    return tuple(row) if next(x for x in row if x) > 0 else tuple(-x for x in row)
+
+
 def equivalent(
     first: CharacteristicPair, second: CharacteristicPair, mode: str = "weak"
 ) -> EquivalenceWitness | None:
     """Decide equivalence; return a verified witness or None.
 
-    The search is exhaustive over (complex isomorphism, base sign vector),
-    with sigma solved exactly from the lex-first maximal face of the
-    source, so None is a proof of inequivalence for the requested mode.
+    The first function's forms (see _forms) at every base sign vector D
+    are indexed by form.  For each complex isomorphism perm, in order, the
+    all-plus form of the second function along perm is looked up, and only
+    the D listed under it, in product order, give sigma = C diag(D) B^-1;
+    by the fact in _forms these are exactly the D whose sigma carries every
+    facet vector to +-its image.  The search is exhaustive over
+    (isomorphism, D), so None is a proof of inequivalence for the
+    requested mode.
     """
     if mode not in MODES:
         raise PreconditionError(f"mode must be one of {MODES}, got {mode!r}")
@@ -106,46 +150,30 @@ def equivalent(
         raise DimensionError(f"rank mismatch: {first.n} vs {second.n}")
     if invariant_signature(first) != invariant_signature(second):
         return None
-    n = first.n
-    base = first.complex.maximal_faces[0]
-    base_matrix = IntMatrix.from_rows(first.face_vectors(base))
-    base_inverse = UnimodularMatrix(base_matrix.transpose().rows).inverse()
-    identity_rows = IntMatrix.identity(n).rows
+    base = first.complex.maximal_faces[0].facets
+    matches: dict[tuple[IntVector, ...], list[tuple[int, ...]]] = {}
+    for form, signs in _forms(first.char.vectors, base):
+        matches.setdefault(form, []).append(signs)
+    base_rows = [first.char.vector(i) for i in base]
     for perm in isomorphisms(first.complex, second.complex):
-        image_vectors = [second.char.vector(perm[i]) for i in base.facets]
-        for signs in itertools.product((1, -1), repeat=n):
-            stacked = IntMatrix.from_rows(
-                [tuple(e * x for x in row) for e, row in zip(signs, image_vectors)]
-            )
-            sigma_rows = (stacked.transpose() @ base_inverse).rows
-            if mode == "strict" and sigma_rows != identity_rows:
+        image = [second.char.vector(j) for j in perm]
+        form, _ = next(_forms(image, base))
+        for signs in matches.get(form, ()):
+            # the columns of C diag(D); sigma = I exactly when they are those of B
+            targets = [tuple(d * x for x in image[i]) for d, i in zip(signs, base)]
+            if mode == "strict" and targets != base_rows:
                 continue
-            sigma = UnimodularMatrix(sigma_rows)
-            witness = _global_witness(first, second, perm, sigma)
-            if witness is not None:
-                if not verify_witness(first, second, witness):
-                    raise AssertionError("search produced a non-verifying witness")
-                return witness
+            base_inverse = UnimodularMatrix(tuple(zip(*base_rows))).inverse()
+            sigma = UnimodularMatrix((IntMatrix(tuple(zip(*targets))) @ base_inverse).rows)
+            facet_signs = tuple(
+                1 if sigma.mul_vector(vec) == target else -1
+                for vec, target in zip(first.char.vectors, image)
+            )
+            witness = EquivalenceWitness(perm, sigma, facet_signs)
+            if not verify_witness(first, second, witness):
+                raise AssertionError("search produced a non-verifying witness")
+            return witness
     return None
-
-
-def _global_witness(
-    first: CharacteristicPair,
-    second: CharacteristicPair,
-    perm: Sequence[int],
-    sigma: UnimodularMatrix,
-) -> EquivalenceWitness | None:
-    signs: list[int] = []
-    for i in range(first.complex.m):
-        moved = sigma.mul_vector(first.char.vector(i))
-        target = second.char.vector(perm[i])
-        if moved == target:
-            signs.append(1)
-        elif moved == tuple(-x for x in target):
-            signs.append(-1)
-        else:
-            return None
-    return EquivalenceWitness(tuple(perm), sigma, tuple(signs))
 
 
 def invert_witness(witness: EquivalenceWitness) -> EquivalenceWitness:
@@ -296,6 +324,11 @@ def enumerate_characteristic(
     are cut into contiguous chunks whose results are joined in chunk order.
     Each search keeps its own table of face tests (see _collect), so no
     answer is reused across calls.
+
+    jobs > 1 pays for starting a process pool, which can cost more than the
+    search: on 2 cores (Python 3.11) jobs=2 took 0.046 s against 0.021 s for
+    jobs=1 on the square at bound 2, and 0.61 s against 0.57 s on the cube
+    at bound 2, normalized.
     """
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
@@ -330,18 +363,24 @@ def weak_classes(
 ) -> list[list[int]]:
     """Group indices of the given functions by weak equivalence.
 
-    Greedy comparison against one representative per class is sound because
-    weak equivalence is transitive (witnesses compose).
+    Every function is validated.  A function looks up its all-plus form
+    (see _forms); on a miss it starts a class and indexes its forms along
+    every automorphism of cx and every base sign vector under that class.
+    Members of one class share the same set of forms and the sets of two
+    classes are disjoint, so one lookup decides membership, and classes
+    come out in order of their first member.
     """
+    automorphisms = isomorphisms(cx, cx)
+    base = cx.maximal_faces[0].facets
+    class_of: dict[tuple[IntVector, ...], int] = {}
     classes: list[list[int]] = []
-    representatives: list[CharacteristicPair] = []
     for idx, func in enumerate(functions):
-        pair = CharacteristicPair(cx, func)
-        for class_index, rep in enumerate(representatives):
-            if equivalent(rep, pair, mode="weak") is not None:
-                classes[class_index].append(idx)
-                break
-        else:
-            classes.append([idx])
-            representatives.append(pair)
+        CharacteristicPair(cx, func).require_valid()
+        form, _ = next(_forms(func.vectors, base))
+        if form not in class_of:
+            for perm in automorphisms:
+                for other, _ in _forms([func.vectors[j] for j in perm], base):
+                    class_of[other] = len(classes)
+            classes.append([])
+        classes[class_of[form]].append(idx)
     return classes

@@ -141,6 +141,7 @@ def _load_skeletal(path: str, source: CharacteristicPair, target: Characteristic
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: mapfile must be a JSON object")
+    mapping: dict[Face, Face] = {}
     if "facet_map" in data:
         images = data["facet_map"]
         if not isinstance(images, list) or any(
@@ -154,21 +155,15 @@ def _load_skeletal(path: str, source: CharacteristicPair, target: Characteristic
             )
         if any(x < 0 or x >= target.complex.m for x in images):
             raise InputError(f"{path}: \"facet_map\" contains an out-of-range facet id")
-        mapping = {}
         for face in source.complex.faces:
             key = tuple(sorted({images[i] for i in face.facets}))
             if not target.complex.has_face(key):
                 raise _SkeletalNegative(face)
             mapping[face] = Face(key)
-        bad = check_skeletal(source.complex, target.complex, mapping)
-        if bad is not None:
-            raise _SkeletalNegative(bad)
-        return SkeletalMap(source.complex, target.complex, mapping)
-    if "face_map" in data:
+    elif "face_map" in data:
         entries = data["face_map"]
         if not isinstance(entries, list):
             raise InputError(f"{path}: \"face_map\" must be a list of [from, to] pairs")
-        mapping: dict[Face, Face] = {}
         for i, item in enumerate(entries):
             if (
                 not isinstance(item, list)
@@ -189,11 +184,12 @@ def _load_skeletal(path: str, source: CharacteristicPair, target: Characteristic
             raise InputError(
                 f"{path}: face_map is missing face {list(missing[0].facets)}"
             )
-        bad = check_skeletal(source.complex, target.complex, mapping)
-        if bad is not None:
-            raise _SkeletalNegative(bad)
-        return SkeletalMap(source.complex, target.complex, mapping)
-    raise InputError(f"{path}: mapfile needs \"facet_map\" or \"face_map\"")
+    else:
+        raise InputError(f"{path}: mapfile needs \"facet_map\" or \"face_map\"")
+    bad = check_skeletal(source.complex, target.complex, mapping)
+    if bad is not None:
+        raise _SkeletalNegative(bad)
+    return SkeletalMap(source.complex, target.complex, mapping)
 
 
 class _SkeletalNegative(Exception):
@@ -616,9 +612,6 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.handler(args, out)
-    except InputError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except TorquoError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from torquo.char_pair import CharacteristicPair
+from torquo.char_pair import CharacteristicFunction, CharacteristicPair
+from torquo.face_complex import FaceComplex
 
 
 def cofactor_det(rows: Sequence[Sequence[int]]) -> int:
@@ -218,3 +219,26 @@ def brute_force_equivalent(
                 if good:
                     return True
     return False
+
+
+def brute_force_classes(
+    cx: FaceComplex, functions: Sequence[CharacteristicFunction]
+) -> list[list[int]]:
+    """Indices of the functions grouped by brute_force_equivalent.
+
+    Each function is compared with one representative per class found so
+    far, which is sound because equivalence is transitive; classes come out
+    in order of their first member.
+    """
+    classes: list[list[int]] = []
+    reps: list[CharacteristicPair] = []
+    for idx, func in enumerate(functions):
+        pair = CharacteristicPair(cx, func)
+        for members, rep in zip(classes, reps):
+            if brute_force_equivalent(rep, pair):
+                members.append(idx)
+                break
+        else:
+            classes.append([idx])
+            reps.append(pair)
+    return classes

@@ -11,7 +11,12 @@ import io
 import random
 import time
 
-from oracles import brute_force_equivalent, extends_oracle, witness_certifies
+from oracles import (
+    brute_force_classes,
+    brute_force_equivalent,
+    extends_oracle,
+    witness_certifies,
+)
 from torquo.char_pair import CharacteristicPair, validate_characteristic
 from torquo.classify import (
     enumerate_characteristic,
@@ -189,29 +194,13 @@ def test_c5_rigidity_corpus():
           f"pairs were weak positives, {elapsed:.2f}s")
 
 
-def _oracle_classes(cx, functions) -> int:
-    """Pairwise brute-force grouping, independent of classify.weak_classes."""
-    labels: list[int] = []
-    reps: list[CharacteristicPair] = []
-    for func in functions:
-        pair = CharacteristicPair(cx, func)
-        for idx, rep in enumerate(reps):
-            if brute_force_equivalent(rep, pair):
-                labels.append(idx)
-                break
-        else:
-            labels.append(len(reps))
-            reps.append(pair)
-    return len(reps)
-
-
 def test_c6_enumeration_counts_and_determinism():
     triangle = make_triangle()
     found = enumerate_characteristic(triangle, 1, normalize=True)
     assert len(found) == TRIANGLE_BOUND_ONE_COUNT
     classes = weak_classes(triangle, found)
     assert len(classes) == TRIANGLE_BOUND_ONE_CLASSES
-    assert _oracle_classes(triangle, found) == len(classes)
+    assert brute_force_classes(triangle, found) == classes
 
     square = make_square()
     runs = [enumerate_characteristic(square, 2, normalize=True) for _ in range(3)]

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from oracles import brute_force_equivalent, extends_oracle
+from oracles import brute_force_classes, brute_force_equivalent, extends_oracle
 import torquo.classify as classify_module
 from torquo.char_pair import CharacteristicFunction, CharacteristicPair
 from torquo.classify import (
@@ -172,6 +172,42 @@ def test_equivalent_requires_valid_input():
     broken = CharacteristicPair(cx, CharacteristicFunction(2, ((1, 0), (0, 1), (2, 2))))
     with pytest.raises(PreconditionError):
         equivalent(broken, triangle_pair())
+
+
+def test_equivalent_matches_brute_force_on_the_cube():
+    # T^3 pairs drawn from the class representatives of the normalized cube
+    # at bound 1: copies moved by an automorphism and signs (strict
+    # positives), copies also moved by a unimodular map (weak positives) and
+    # pairs of representatives; the oracle takes about a second per negative
+    rng = random.Random(3303)
+    cx = make_cube()
+    found = enumerate_characteristic(cx, 1, normalize=True)
+    reps = [CharacteristicPair(cx, found[c[0]]) for c in weak_classes(cx, found)]
+    autos = isomorphisms(cx, cx)
+    cases = []
+    for k, rep in enumerate(reps):
+        if k % 2:
+            cases.append((rep, relabeled_copy(rng, rep), "weak"))
+            continue
+        perm = rng.choice(autos)
+        rows: list[tuple[int, ...] | None] = [None] * cx.m
+        for i in range(cx.m):
+            sign = rng.choice((1, -1))
+            rows[perm[i]] = tuple(sign * x for x in rep.char.vector(i))
+        cases.append((rep, CharacteristicPair(cx, CharacteristicFunction(3, tuple(rows))), "strict"))
+    cases += [(reps[0], reps[-1], "weak"), (reps[1], relabeled_copy(rng, reps[1]), "strict")]
+    answers = collections.Counter()
+    for first, second, mode in cases:
+        witness = equivalent(first, second, mode)
+        expected = brute_force_equivalent(first, second, mode)
+        assert (witness is not None) == expected
+        if witness is not None:
+            assert verify_witness(first, second, witness)
+            if mode == "strict":
+                assert witness.torus_map.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        answers[mode, expected] += 1
+    assert answers["strict", True] >= 3 and answers["weak", True] >= 3
+    assert answers["strict", False] >= 1 and answers["weak", False] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +436,49 @@ def test_enumeration_input_checks():
         enumerate_characteristic(cx, 0)
     with pytest.raises(PreconditionError):
         enumerate_characteristic(cx, 1, jobs=0)
+
+
+def test_weak_classes_validates_every_function():
+    cx = make_square()
+    valid = hirzebruch_pair(1).char
+    # the vectors of facets 1 and 2 span an index-2 sublattice
+    invalid = CharacteristicFunction(2, ((1, 0), (0, 1), (2, 1), (0, 1)))
+    for functions in ([invalid], [valid, invalid], [invalid, valid]):
+        with pytest.raises(PreconditionError):
+            weak_classes(cx, functions)
+
+
+@pytest.mark.parametrize(
+    "make, bound, count, class_count",
+    [(make_square, 2, 52, 4), (make_pentagon, 1, 112, 2)],
+    ids=["square-bound2-normalized", "pentagon-bound1-normalized"],
+)
+def test_weak_classes_match_brute_force_grouping(make, bound, count, class_count):
+    cx = make()
+    found = enumerate_characteristic(cx, bound, normalize=True)
+    classes = weak_classes(cx, found)
+    assert (len(found), len(classes)) == (count, class_count)
+    assert classes == brute_force_classes(cx, found)
+
+
+def test_weak_classes_searches_automorphisms_once(monkeypatch):
+    cx = make_square()
+    found = enumerate_characteristic(cx, 2, normalize=True)
+    expected = weak_classes(cx, found)
+    calls: collections.Counter = collections.Counter()
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("isomorphisms", "equivalent"):
+        monkeypatch.setattr(classify_module, name, recording(name, getattr(classify_module, name)))
+    assert weak_classes(cx, found) == expected
+    # one automorphism search per call and no pairwise equivalence decisions
+    assert calls == {"isomorphisms": 1}
 
 
 def test_twist_grid_weak_classes():
