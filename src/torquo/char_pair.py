@@ -19,7 +19,7 @@ from .lattice import (
     IntVector,
     Sublattice,
     TorusPoint,
-    _as_int,
+    _int_rows,
     extends_to_basis,
     subtorus_contains,
 )
@@ -29,23 +29,25 @@ from .lattice import (
 class CharacteristicFunction:
     """Assignment of an integer vector in Z^n to each facet 0..m-1.
 
-    Construction checks shapes only; primitivity of each vector is part of
-    validity and surfaces as a violation at the singleton face of the
-    offending facet.
+    Construction checks shapes only, in this order: an int rank n >= 1,
+    int entries (bool, float and other types rejected; see
+    lattice._int_rows), at least one facet, every vector of length n.
+    Primitivity of each vector is part of validity and surfaces as a
+    violation at the singleton face of the offending facet.
     """
 
     n: int
     vectors: tuple[IntVector, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise DimensionError(f"rank n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise DimensionError("rank n must be >= 1")
-        vectors = tuple(
-            tuple(x if type(x) is int else _as_int(x) for x in row) for row in self.vectors
-        )
+        vectors = _int_rows(self.vectors)
         if not vectors:
             raise DimensionError("characteristic function needs at least one facet")
-        if any(len(row) != self.n for row in vectors):
+        if {*map(len, vectors)} != {self.n}:
             raise DimensionError(f"every facet vector must have length {self.n}")
         object.__setattr__(self, "vectors", vectors)
 

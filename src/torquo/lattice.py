@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, PreconditionError
@@ -38,6 +39,26 @@ def _as_int(x: object) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise DimensionError(f"expected an integer entry, got {x!r}")
     return x
+
+
+def _int_rows(rows: Iterable[Iterable[object]]) -> tuple[IntVector, ...]:
+    """The rows as tuples, every entry checked as _as_int checks it.
+
+    One type scan passes rows whose entries are all exact ints.  Otherwise
+    each entry is checked in row-major order, so the first bad entry is
+    the one reported, and a row that is not iterable raises TypeError only
+    when the check reaches it.  Entries are stored as given, an int
+    subclass included.
+    """
+    rows = tuple(rows)
+    try:
+        out = tuple(map(tuple, rows))
+    except TypeError:
+        out = rows
+    else:
+        if {*map(type, chain.from_iterable(out))} <= {int}:
+            return out
+    return tuple(tuple(x if type(x) is int else _as_int(x) for x in row) for row in out)
 
 
 def _as_rational(x: object) -> Fraction:
@@ -57,7 +78,7 @@ class IntMatrix:
     rows: tuple[IntVector, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(_as_int(x) for x in row) for row in self.rows)
+        rows = _int_rows(self.rows)
         if not rows:
             raise DimensionError("matrix needs at least one row")
         width = len(rows[0])
@@ -153,7 +174,8 @@ class UnimodularMatrix(IntMatrix):
         super().__post_init__()
         if not self.is_square:
             raise PreconditionError("unimodular matrix must be square")
-        if self.det() not in (1, -1):
+        # square rows extend to a basis exactly when the determinant is +-1
+        if not extends_to_basis(self.rows):
             raise PreconditionError("matrix determinant is not +-1")
 
     def inverse(self) -> "UnimodularMatrix":
@@ -432,7 +454,7 @@ def _column_reduce(
     identity riders become V with rows @ V = [L | 0]; without riders the
     last row is only gcd-checked.
     """
-    work = [[_as_int(x) for x in row] for row in rows]
+    work = [[x if type(x) is int else _as_int(x) for x in row] for row in rows]
     if not work:
         return work
     k, n = len(work), len(work[0])

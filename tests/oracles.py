@@ -15,7 +15,33 @@ from fractions import Fraction
 from typing import Sequence
 
 from torquo.char_pair import CharacteristicFunction, CharacteristicPair
+from torquo.errors import DimensionError
 from torquo.face_complex import FaceComplex
+
+
+def _entry_oracle(x: object) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DimensionError(f"expected an integer entry, got {x!r}")
+    return x
+
+
+def characteristic_vectors_oracle(n: int, vectors: object) -> tuple[tuple[int, ...], ...]:
+    """The vectors CharacteristicFunction(n, vectors) stores, or the error it raises.
+
+    The constructor's check as it was written before its type scan, for an
+    integer n: rank, then every entry on its own in row-major order, then
+    at least one facet, then the lengths.
+    """
+    if n < 1:
+        raise DimensionError("rank n must be >= 1")
+    vectors = tuple(
+        tuple(x if type(x) is int else _entry_oracle(x) for x in row) for row in vectors
+    )
+    if not vectors:
+        raise DimensionError("characteristic function needs at least one facet")
+    if any(len(row) != n for row in vectors):
+        raise DimensionError(f"every facet vector must have length {n}")
+    return vectors
 
 
 def cofactor_det(rows: Sequence[Sequence[int]]) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import subtorus_oracle
+from oracles import characteristic_vectors_oracle, subtorus_oracle
 from conftest import (
     equivalent_partner,
     hirzebruch_pair,
@@ -52,6 +52,56 @@ def test_function_shape_checks():
     ):
         with pytest.raises(DimensionError):
             CharacteristicFunction(2, rows)
+    # the rank must be an int too: 1.0 == 1 would pass every later check
+    for n in (1.0, True, Fraction(1)):
+        with pytest.raises(DimensionError, match="rank n must be an integer"):
+            CharacteristicFunction(n, ((1,), (-1,)))
+    with pytest.raises(DimensionError, match="rank n must be >= 1"):
+        CharacteristicFunction(-1, ((1,),))
+
+
+class _Int(int):
+    """An int subclass; the constructor stores it as given."""
+
+
+_ints = st.integers(-3, 3) | st.integers(-3, 3).map(_Int)
+_entries = _ints | st.sampled_from(
+    [True, False, 1.0, 0.5, Fraction(1), Fraction(1, 2), "1", "", [1], [], None]
+)
+
+
+@st.composite
+def _constructor_inputs(draw):
+    """(n, vectors): mostly well-shaped rows, some ragged, empty or bad entries."""
+    n = draw(st.integers(0, 3))
+    entries = draw(st.sampled_from([_ints, _entries]))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        if entries is _entries and draw(st.integers(0, 9)) == 0:
+            rows.append(draw(st.sampled_from([None, 5])))  # a row that is not iterable
+            continue
+        length = n if draw(st.integers(0, 3)) else draw(st.integers(0, 4))
+        row = draw(st.lists(entries, min_size=length, max_size=length))
+        rows.append(draw(st.sampled_from([tuple, list]))(row))
+    return n, draw(st.sampled_from([tuple, list]))(rows)
+
+
+def _outcome(build):
+    try:
+        vectors = build()
+    except (DimensionError, TypeError) as exc:
+        return type(exc), str(exc)
+    return vectors, [[type(x) for x in row] for row in vectors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constructor_inputs())
+def test_function_check_matches_per_entry_oracle(args):
+    # same accept or reject, exception type and message, stored vectors and entry types
+    n, vectors = args
+    assert _outcome(lambda: CharacteristicFunction(n, vectors).vectors) == _outcome(
+        lambda: characteristic_vectors_oracle(n, vectors)
+    )
 
 
 def test_validation_worked_examples():

@@ -436,6 +436,12 @@ def test_enumeration_input_checks():
         enumerate_characteristic(cx, 0)
     with pytest.raises(PreconditionError):
         enumerate_characteristic(cx, 1, jobs=0)
+    for bound in (1.5, True, "2", None):
+        with pytest.raises(PreconditionError, match="bound must be an integer"):
+            enumerate_characteristic(cx, bound)
+    for jobs in (1.5, True, "2", None):
+        with pytest.raises(PreconditionError, match="jobs must be an integer"):
+            enumerate_characteristic(cx, 1, jobs=jobs)
 
 
 def test_weak_classes_validates_every_function():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import extends_oracle, member_oracle, minor_gcd, subtorus_oracle
+from oracles import cofactor_det, extends_oracle, member_oracle, minor_gcd, subtorus_oracle
 from torquo.errors import DimensionError, PreconditionError
 from torquo.lattice import (
     IntMatrix,
@@ -65,6 +65,42 @@ def test_unimodular_rejects_non_units():
         UnimodularMatrix(((2, 0), (0, 1)))
     with pytest.raises(PreconditionError):
         UnimodularMatrix(((1, 0, 0), (0, 1, 0)))
+
+
+def test_unimodular_check_agrees_with_det():
+    rng = random.Random(29)
+    dets = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+        elif kind == 1:
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        else:
+            # row operations on the identity, one with a multiplier up to 10^6
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for step in range(6):
+                i, k = rng.randrange(n), rng.randrange(n)
+                if i != k:
+                    q = rng.randint(-10**6, 10**6) if step == 0 else rng.randint(-3, 3)
+                    rows[i] = [a + q * b for a, b in zip(rows[i], rows[k])]
+            i = rng.randrange(n)
+            if kind == 2:  # det -1, 2 or -2
+                rows[i] = [rng.choice((-1, 2, -2)) * a for a in rows[i]]
+            elif n > 1:  # det 0: a repeated row
+                rows[i] = list(rows[(i + 1) % n])
+            else:
+                rows[i] = [0]
+        det = IntMatrix.from_rows(rows).det()
+        assert det == cofactor_det(rows)
+        dets.add(det)
+        if det in (1, -1):
+            assert UnimodularMatrix(tuple(map(tuple, rows))).det() == det
+        else:
+            with pytest.raises(PreconditionError, match="matrix determinant is not"):
+                UnimodularMatrix(tuple(map(tuple, rows)))
+    assert {0, 1, -1, 2, -2} <= dets
 
 
 def test_unimodular_inverse_round_trip():
