@@ -174,14 +174,16 @@ class CharacteristicPair:
         """Orbit-type strata, one per face, sorted by (codim, face).
 
         Over the open part of a codim-k face the isotropy subtorus has rank
-        k, so orbits there have dimension n - k.
+        k, so orbits there have dimension n - k.  On a valid pair the facet
+        vectors of a codim-k face extend to a basis, so they span a rank-k
+        lattice and no Hermite form is needed to read the rank.
         """
         self.require_valid()
         rows = [
             Stratum(
                 face=face,
                 codim=face.codim,
-                isotropy_rank=self.isotropy_lattice(face).rank,
+                isotropy_rank=face.codim,
                 orbit_dim=self.n - face.codim,
             )
             for face in self.complex.faces

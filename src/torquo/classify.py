@@ -213,26 +213,13 @@ def primitive_box(n: int, bound: int) -> list[IntVector]:
     ]
 
 
-def _pinned_vectors(cx: FaceComplex, normalize: bool) -> dict[int, IntVector]:
-    if not normalize:
-        return {}
-    base = cx.maximal_faces[0]
-    return {
-        facet: tuple(int(k == j) for k in range(cx.n))
-        for j, facet in enumerate(base.facets)
-    }
-
-
 def _collect(
-    cx: FaceComplex,
-    candidates: Sequence[IntVector],
-    pinned: dict[int, IntVector],
-    override: tuple[int, Sequence[IntVector]] | None = None,
+    cx: FaceComplex, domains: Sequence[Sequence[IntVector]]
 ) -> list[tuple[IntVector, ...]]:
     """Constraint search core; returns assignments as tuples of facet vectors.
 
-    Facets are assigned in index order, each from its domain: its options
-    (the candidates, the pinned vector or the override chunk) narrowed, in
+    domains holds one sorted option sequence per facet.  Facets are
+    assigned in index order, each from its domain: its options narrowed, in
     option order, to the vectors that pass the pair test against every
     earlier facet it shares a codimension-2 face with.  Assigning a facet
     narrows the domains of its later codimension-2 neighbours at once
@@ -246,8 +233,8 @@ def _collect(
     Every face test is answered from a table local to this call, keyed by
     the face's vectors in facet order, so each distinct tuple reaches
     extends_to_basis once per call and nothing carries over between calls.
-    Options are sorted and domains keep their order, so assignments come
-    out in lexicographic order of their rows.
+    Domains keep their order, so assignments come out in lexicographic
+    order of their rows.
     """
     later: list[list[int]] = [[] for _ in range(cx.m)]
     check_at: list[list[itemgetter]] = [[] for _ in range(cx.m)]
@@ -265,14 +252,7 @@ def _collect(
             answer = table[rows] = extends_to_basis(rows)
         return answer
 
-    def options(facet: int) -> Sequence[IntVector]:
-        if facet in pinned:
-            return (pinned[facet],)
-        if override is not None and facet == override[0]:
-            return override[1]
-        return candidates
-
-    domains = [options(facet) for facet in range(cx.m)]
+    domains = list(domains)
     assign: list[IntVector | None] = [None] * cx.m
     results: list[tuple[IntVector, ...]] = []
 
@@ -302,14 +282,6 @@ def _collect(
     return results
 
 
-def _collect_chunk(
-    args: tuple[int, int, tuple[tuple[int, ...], ...], int, tuple[tuple[int, IntVector], ...], int, tuple[IntVector, ...]],
-) -> list[tuple[IntVector, ...]]:
-    n, m, maximal, bound, pinned_items, split, chunk = args
-    cx = FaceComplex(n, m, maximal)
-    return _collect(cx, primitive_box(n, bound), dict(pinned_items), (split, chunk))
-
-
 def enumerate_characteristic(
     cx: FaceComplex, bound: int, normalize: bool = False, jobs: int = 1
 ) -> list[CharacteristicFunction]:
@@ -318,46 +290,48 @@ def enumerate_characteristic(
     With normalize the facets of the lex-first maximal face are pinned to
     the standard basis vectors, cutting each weak class down without losing
     any: a change of basis by the inverse vertex matrix pins any valid
-    function.
+    function.  Every other facet ranges over the primitive box.
 
     Output is in lexicographic order of the vector rows and identical for
     every jobs value.  No sort is needed for that: the search emits its
-    assignments in that order, and with jobs > 1 the split facet's options
-    are cut into contiguous chunks whose results are joined in chunk order.
-    Each search keeps its own table of face tests (see _collect), so no
-    answer is reused across calls.
+    assignments in that order, and with jobs > 1 the domain of the first
+    unpinned facet is cut into contiguous chunks, each searched by the same
+    _collect in a worker, whose results are joined in chunk order.  Each
+    search keeps its own table of face tests (see _collect), so no answer
+    is reused across calls.
 
     bound and jobs must be ints >= 1 (bool is rejected).  jobs > 1 pays for
     starting a process pool, which can cost more than the search: on 2
-    cores (Python 3.11, medians of 5) jobs=2 took 0.031-0.041 s against
-    0.023-0.028 s for jobs=1 on the square at bound 2, and 0.39-0.42 s
-    against 0.55-0.58 s on the cube at bound 2, normalized.
+    cores (Python 3.11, three runs of medians of 5, of 3 on the prism)
+    jobs=2 took 0.043-0.048 s against 0.022-0.030 s for jobs=1 on the
+    square at bound 2, 0.39-0.42 s against 0.47-0.54 s on the cube at
+    bound 2, normalized, and 2.19-2.29 s against 2.74-3.26 s on the prism
+    over a hexagon at bound 1, normalized.
     """
     for name, value in (("bound", bound), ("jobs", jobs)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise PreconditionError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise PreconditionError(f"{name} must be >= 1")
-    candidates = primitive_box(cx.n, bound)
-    pinned = _pinned_vectors(cx, normalize)
+    box = primitive_box(cx.n, bound)
+    pinned = cx.maximal_faces[0].facets if normalize else ()
+    domains: list[Sequence[IntVector]] = [box] * cx.m
+    for j, facet in enumerate(pinned):
+        domains[facet] = (tuple(int(k == j) for k in range(cx.n)),)
     split = next((i for i in range(cx.m) if i not in pinned), None)
-    if jobs == 1 or split is None or len(candidates) < 2 * jobs:
-        rows_list = _collect(cx, candidates, pinned)
+    if jobs == 1 or split is None or len(box) < 2 * jobs:
+        rows_list = _collect(cx, domains)
     else:
-        step = -(-len(candidates) // jobs)
-        chunks = [
-            tuple(candidates[k : k + step]) for k in range(0, len(candidates), step)
-        ]
-        maximal = tuple(face.facets for face in cx.maximal_faces)
-        payloads = [
-            (cx.n, cx.m, maximal, bound, tuple(sorted(pinned.items())), split, chunk)
-            for chunk in chunks
+        step = -(-len(box) // jobs)
+        chunk_domains = [
+            domains[:split] + [box[k : k + step]] + domains[split + 1 :]
+            for k in range(0, len(box), step)
         ]
         # imported here: multiprocessing is heavy and only this branch needs it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_collect_chunk, payloads))
+            parts = list(pool.map(_collect, [cx] * len(chunk_domains), chunk_domains))
         rows_list = [rows for part in parts for rows in part]
     return [CharacteristicFunction(cx.n, rows) for rows in rows_list]
 

@@ -49,8 +49,6 @@ from .problemfile import (
     ProblemFile,
     format_rational,
     parse_problem,
-    parse_rational,
-    serialize_problem,
 )
 
 EXIT_OK = 0

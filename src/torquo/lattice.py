@@ -94,6 +94,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise DimensionError(f"identity size n must be an integer, got {n!r}")
         if n < 1:
             raise DimensionError("identity needs n >= 1")
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
@@ -288,6 +290,8 @@ class Sublattice:
     basis: tuple[IntVector, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.ambient, bool) or not isinstance(self.ambient, int):
+            raise DimensionError(f"ambient dimension must be an integer, got {self.ambient!r}")
         if self.ambient < 1:
             raise DimensionError("ambient dimension must be >= 1")
         object.__setattr__(self, "basis", hermite_rows(self.basis, self.ambient))

@@ -5,7 +5,11 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -391,6 +395,7 @@ def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
         (make_pentagon, False, 1),
         (make_simplex3, True, 1),
         (make_cube, True, 1),
+        (make_cube, True, 2),
     ],
     ids=[
         "triangle",
@@ -400,6 +405,7 @@ def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
         "pentagon",
         "simplex3-normalized",
         "cube-normalized",
+        "cube-normalized-jobs2",
     ],
 )
 def test_enumeration_matches_brute_force_oracle(make, normalize, jobs):
@@ -408,6 +414,31 @@ def test_enumeration_matches_brute_force_oracle(make, normalize, jobs):
     cx = make()
     found = enumerate_characteristic(cx, 1, normalize=normalize, jobs=jobs)
     assert [f.vectors for f in found] == brute_force_enumeration(cx, 1, normalize)
+
+
+def test_enumeration_pool_under_spawn_matches_one_job():
+    # spawned workers get cx and their domains by pickling, not from a fork
+    code = (
+        "import multiprocessing\n"
+        "from torquo.classify import enumerate_characteristic\n"
+        "from torquo.face_complex import build_complex\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "vertices = [[x, 2 + y, 4 + z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]\n"
+        "found = enumerate_characteristic(build_complex(3, 6, vertices), 1, True, 2)\n"
+        "print([f.vectors for f in found])\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = enumerate_characteristic(make_cube(), 1, normalize=True, jobs=1)
+    assert proc.stdout == f"{[f.vectors for f in expected]}\n"
 
 
 def test_enumeration_decides_each_face_tuple_once_per_call(monkeypatch):

@@ -50,6 +50,21 @@ def test_matrix_validation():
         IntMatrix(((1, Fraction(1, 2)),))
 
 
+def test_size_arguments_must_be_ints():
+    for bad in (True, False, 2.0, 1.5, Fraction(1), "2", None):
+        with pytest.raises(DimensionError, match="identity size n must be an integer, got"):
+            IntMatrix.identity(bad)
+        with pytest.raises(DimensionError, match="ambient dimension must be an integer, got"):
+            Sublattice(bad, ((1,),))
+    for bad in (0, -1):
+        with pytest.raises(DimensionError, match="identity needs n >= 1"):
+            IntMatrix.identity(bad)
+        with pytest.raises(DimensionError, match="ambient dimension must be >= 1"):
+            Sublattice(bad, ())
+    assert IntMatrix.identity(1).rows == ((1,),)
+    assert Sublattice(1, ((2,),)).basis == ((2,),)
+
+
 def test_matrix_product_and_det():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
