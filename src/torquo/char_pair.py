@@ -101,6 +101,7 @@ class CharacteristicPair:
         self.char = char
         self._violation: Face | None = None
         self._validated = False
+        self._isotropy: dict[Face, Sublattice] = {}
 
     @property
     def n(self) -> int:
@@ -140,11 +141,17 @@ class CharacteristicPair:
         """Lattice of the isotropy subtorus of a face: span of its facet vectors.
 
         Valid pairs give saturated lattices of rank equal to the codimension.
+        Each face's lattice is built once per pair and then shared, so its
+        cached annihilator is too.
         """
         face = face if isinstance(face, Face) else Face.of(face)
-        if not self.complex.has_face(face.facets):
-            raise NoSuchFaceError(f"{list(face.facets)} is not a face of the complex")
-        return Sublattice.spanned_by(self.n, self.face_vectors(face))
+        lattice = self._isotropy.get(face)
+        if lattice is None:
+            if not self.complex.has_face(face.facets):
+                raise NoSuchFaceError(f"{list(face.facets)} is not a face of the complex")
+            lattice = Sublattice.spanned_by(self.n, self.face_vectors(face))
+            self._isotropy[face] = lattice
+        return lattice
 
     def points_equal(self, p: ModelPoint, q: ModelPoint) -> bool:
         """Whether two representatives name the same point of the model.

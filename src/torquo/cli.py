@@ -4,7 +4,8 @@ Exit codes: 0 for success or a true answer, 2 for a well-formed negative
 answer (invalid characteristic function, unequal points, no equivalence,
 failed map check), 1 for input errors of any kind.  Reports go to stdout
 as JSON with sorted keys; diagnostics go to stderr.  TORQUO_THREADS caps
-the parallelism of enumeration.
+the parallelism of enumeration.  A handler raises each negative report as
+a private _Negative where it is found, and run() writes it and returns 2.
 
 Flag syntaxes not fixed by the file format:
 
@@ -33,7 +34,7 @@ from .classify import (
     invariant_signature,
     weak_classes,
 )
-from .errors import PreconditionError, TorquoError
+from .errors import TorquoError
 from .face_complex import Face
 from .lattice import TorusPoint, UnimodularMatrix
 from .morphism import (
@@ -58,6 +59,14 @@ EXIT_NEGATIVE = 2
 
 class InputError(TorquoError):
     """CLI-level input problem: bad file, bad flag, malformed value."""
+
+
+class _Negative(Exception):
+    """Internal: a well-formed negative answer, carrying its report."""
+
+    def __init__(self, report: dict[str, Any]) -> None:
+        super().__init__()
+        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +138,9 @@ def _parse_sigma_flag(text: str, n: int) -> UnimodularMatrix:
         raise InputError(f"matrix {text!r}: {exc}") from None
 
 
-def _load_skeletal(path: str, source: CharacteristicPair, target: CharacteristicPair) -> SkeletalMap:
+def _load_skeletal(
+    path: str, source: CharacteristicPair, target: CharacteristicPair, command: str
+) -> SkeletalMap:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -140,6 +151,7 @@ def _load_skeletal(path: str, source: CharacteristicPair, target: Characteristic
     if not isinstance(data, dict):
         raise InputError(f"{path}: mapfile must be a JSON object")
     mapping: dict[Face, Face] = {}
+    bad: Face | None = None
     if "facet_map" in data:
         images = data["facet_map"]
         if not isinstance(images, list) or any(
@@ -156,7 +168,8 @@ def _load_skeletal(path: str, source: CharacteristicPair, target: Characteristic
         for face in source.complex.faces:
             key = tuple(sorted({images[i] for i in face.facets}))
             if not target.complex.has_face(key):
-                raise _SkeletalNegative(face)
+                bad = face
+                break
             mapping[face] = Face(key)
     elif "face_map" in data:
         entries = data["face_map"]
@@ -184,18 +197,18 @@ def _load_skeletal(path: str, source: CharacteristicPair, target: Characteristic
             )
     else:
         raise InputError(f"{path}: mapfile needs \"facet_map\" or \"face_map\"")
-    bad = check_skeletal(source.complex, target.complex, mapping)
+    if bad is None:
+        bad = check_skeletal(source.complex, target.complex, mapping)
     if bad is not None:
-        raise _SkeletalNegative(bad)
+        raise _Negative(
+            {
+                "command": command,
+                "ok": False,
+                "reason": "not-skeletal",
+                "violation_face": list(bad.facets),
+            }
+        )
     return SkeletalMap(source.complex, target.complex, mapping)
-
-
-class _SkeletalNegative(Exception):
-    """Internal: a well-formed face map that fails the skeletal conditions."""
-
-    def __init__(self, face: Face) -> None:
-        super().__init__()
-        self.face = face
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +243,17 @@ def _require_contractible(problem: ProblemFile, path: str) -> None:
         )
 
 
-def _validated_pair_or_report(pair: CharacteristicPair, command: str, out) -> bool:
-    """Emit the negative validation report if the pair is invalid."""
+def _require_valid(pair: CharacteristicPair, command: str) -> None:
+    """Raise the negative validation report if the pair is invalid."""
     violation = pair.first_violation()
-    if violation is None:
-        return True
-    _emit(
-        {
-            "command": command,
-            "valid": False,
-            "violation_face": list(violation.facets),
-        },
-        out,
-    )
-    return False
+    if violation is not None:
+        raise _Negative(
+            {
+                "command": command,
+                "valid": False,
+                "violation_face": list(violation.facets),
+            }
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +262,14 @@ def _validated_pair_or_report(pair: CharacteristicPair, command: str, out) -> bo
 
 def _cmd_validate(args: argparse.Namespace, out) -> int:
     pair = _load_pair(args.file)
-    if not _validated_pair_or_report(pair, "validate", out):
-        return EXIT_NEGATIVE
+    _require_valid(pair, "validate")
     _emit({"command": "validate", "valid": True}, out)
     return EXIT_OK
 
 
 def _cmd_strata(args: argparse.Namespace, out) -> int:
     pair = _load_pair(args.file)
-    if not _validated_pair_or_report(pair, "strata", out):
-        return EXIT_NEGATIVE
+    _require_valid(pair, "strata")
     rows = [
         {
             "face": list(s.face.facets),
@@ -284,13 +292,9 @@ def _cmd_strata(args: argparse.Namespace, out) -> int:
 
 def _cmd_isotropy(args: argparse.Namespace, out) -> int:
     pair = _load_pair(args.file)
-    if not _validated_pair_or_report(pair, "isotropy", out):
-        return EXIT_NEGATIVE
+    _require_valid(pair, "isotropy")
     facets = _parse_face_flag(args.face)
-    try:
-        face = pair.complex.smallest_face(facets)
-    except TorquoError as exc:
-        raise InputError(str(exc)) from None
+    face = pair.complex.smallest_face(facets)
     lattice = pair.isotropy_lattice(face)
     _emit(
         {
@@ -306,14 +310,10 @@ def _cmd_isotropy(args: argparse.Namespace, out) -> int:
 
 def _cmd_point_eq(args: argparse.Namespace, out) -> int:
     pair = _load_pair(args.file)
-    if not _validated_pair_or_report(pair, "point-eq", out):
-        return EXIT_NEGATIVE
+    _require_valid(pair, "point-eq")
     p = _parse_point_flag(args.p, pair.n)
     q = _parse_point_flag(args.q, pair.n)
-    try:
-        equal = pair.points_equal(p, q)
-    except TorquoError as exc:
-        raise InputError(str(exc)) from None
+    equal = pair.points_equal(p, q)
     _emit(
         {
             "command": "point-eq",
@@ -327,35 +327,17 @@ def _cmd_point_eq(args: argparse.Namespace, out) -> int:
 
 
 def _checked_morphism(
-    args: argparse.Namespace, out, command: str, src: CharacteristicPair, dst: CharacteristicPair
-) -> Morphism | int:
-    """Build and fully check the morphism of map-check/homotopy-sample.
-
-    Returns an exit code directly when a well-formed negative was reported.
-    """
-    if not _validated_pair_or_report(src, command, out):
-        return EXIT_NEGATIVE
-    if not _validated_pair_or_report(dst, command, out):
-        return EXIT_NEGATIVE
+    args: argparse.Namespace, command: str, src: CharacteristicPair, dst: CharacteristicPair
+) -> Morphism:
+    """Build and fully check the morphism of map-check/homotopy-sample."""
+    _require_valid(src, command)
+    _require_valid(dst, command)
     sigma = _parse_sigma_flag(args.sigma, src.n)
-    try:
-        face_map = _load_skeletal(args.phi, src, dst)
-    except _SkeletalNegative as neg:
-        _emit(
-            {
-                "command": command,
-                "ok": False,
-                "reason": "not-skeletal",
-                "violation_face": list(neg.face.facets),
-            },
-            out,
-        )
-        return EXIT_NEGATIVE
-    morphism = Morphism(sigma, face_map)
+    morphism = Morphism(sigma, _load_skeletal(args.phi, src, dst, command))
     violation = check_compatibility(morphism, src, dst)
     if violation is not None:
         base, shifted = violation.source_points
-        _emit(
+        raise _Negative(
             {
                 "command": command,
                 "ok": False,
@@ -364,19 +346,15 @@ def _checked_morphism(
                 "witness": {
                     "equal_in_source": [_point_json(base), _point_json(shifted)],
                 },
-            },
-            out,
+            }
         )
-        return EXIT_NEGATIVE
     return morphism
 
 
 def _cmd_map_check(args: argparse.Namespace, out) -> int:
     src = _load_pair(args.source)
     dst = _load_pair(args.target)
-    morphism = _checked_morphism(args, out, "map-check", src, dst)
-    if isinstance(morphism, int):
-        return morphism
+    morphism = _checked_morphism(args, "map-check", src, dst)
     _emit(
         {
             "command": "map-check",
@@ -397,9 +375,7 @@ def _cmd_homotopy_sample(args: argparse.Namespace, out) -> int:
     _require_contractible(dst_problem, args.target)
     src = _build_pair(src_problem, args.source)
     dst = _build_pair(dst_problem, args.target)
-    morphism = _checked_morphism(args, out, "homotopy-sample", src, dst)
-    if isinstance(morphism, int):
-        return morphism
+    morphism = _checked_morphism(args, "homotopy-sample", src, dst)
     reps = src_problem.reps_table()
     if reps is None:
         raise InputError(f"{args.source}: document has no \"reps\" table")
@@ -411,16 +387,14 @@ def _cmd_homotopy_sample(args: argparse.Namespace, out) -> int:
     incoherent = check_reps_coherence(morphism, dst, reps)
     if incoherent is not None:
         sub, face = incoherent
-        _emit(
+        raise _Negative(
             {
                 "command": "homotopy-sample",
                 "ok": False,
                 "reason": "incoherent-reps",
                 "covering_pair": [list(sub.facets), list(face.facets)],
-            },
-            out,
+            }
         )
-        return EXIT_NEGATIVE
     point = _parse_point_flag(args.point, src.n)
     if not src.complex.has_face(point.face.facets):
         raise InputError(f"point face {list(point.face.facets)} is not a face of the source")
@@ -428,10 +402,7 @@ def _cmd_homotopy_sample(args: argparse.Namespace, out) -> int:
         s = Fraction(args.s)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot read time {args.s!r}") from None
-    try:
-        image = straight_line_homotopy_apply(morphism, reps, point, s)
-    except PreconditionError as exc:
-        raise InputError(str(exc)) from None
+    image = straight_line_homotopy_apply(morphism, reps, point, s)
     start = induced_map_apply(morphism, point)
     _emit(
         {
@@ -454,17 +425,11 @@ def _cmd_eq(args: argparse.Namespace, out) -> int:
     _require_contractible(second_problem, args.second)
     first = _build_pair(first_problem, args.first)
     second = _build_pair(second_problem, args.second)
-    if not _validated_pair_or_report(first, "eq", out):
-        return EXIT_NEGATIVE
-    if not _validated_pair_or_report(second, "eq", out):
-        return EXIT_NEGATIVE
-    try:
-        witness = equivalent(first, second, mode=args.mode)
-    except TorquoError as exc:
-        raise InputError(str(exc)) from None
+    _require_valid(first, "eq")
+    _require_valid(second, "eq")
+    witness = equivalent(first, second, mode=args.mode)
     if witness is None:
-        _emit({"command": "eq", "equivalent": False, "mode": args.mode}, out)
-        return EXIT_NEGATIVE
+        raise _Negative({"command": "eq", "equivalent": False, "mode": args.mode})
     _emit(
         {
             "command": "eq",
@@ -513,8 +478,7 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
 
 def _cmd_invariants(args: argparse.Namespace, out) -> int:
     pair = _load_pair(args.file)
-    if not _validated_pair_or_report(pair, "invariants", out):
-        return EXIT_NEGATIVE
+    _require_valid(pair, "invariants")
     sig = invariant_signature(pair)
     _emit(
         {
@@ -610,6 +574,9 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.handler(args, out)
+    except _Negative as negative:
+        _emit(negative.report, out)
+        return EXIT_NEGATIVE
     except TorquoError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -112,12 +112,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def row(self, i: int) -> IntVector:
-        return self.rows[i]
-
-    def column(self, j: int) -> IntVector:
-        return tuple(row[j] for row in self.rows)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
 

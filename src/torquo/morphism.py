@@ -20,11 +20,9 @@ from .errors import DimensionError, NoSuchFaceError, PreconditionError
 from .face_complex import Face, FaceComplex
 from .lattice import (
     IntMatrix,
-    Sublattice,
     TorusPoint,
     UnimodularMatrix,
     _as_rational,
-    lattice_member,
     subtorus_contains,
 )
 
@@ -184,44 +182,29 @@ def check_compatibility(
         raise PreconditionError("target pair does not live on the morphism's target complex")
     source.require_valid()
     target.require_valid()
-    n = source.n
     for facet in range(source.complex.m):
-        facet_face = Face((facet,))
-        image = morphism.face_map[facet_face]
-        lattice = target.isotropy_lattice(image)
-        moved = morphism.torus_map.mul_vector(source.char.vector(facet))
-        if lattice_member(moved, lattice):
+        face = Face((facet,))
+        vector = source.char.vector(facet)
+        moved = morphism.torus_map.mul_vector(vector)
+        # The target is valid, so the image isotropy lattice is saturated:
+        # the moved facet vector lies in it exactly when its dot product
+        # with every annihilator vector of that lattice is 0.  Otherwise the
+        # first nonzero dot product r gives the witness.  Scaling the facet
+        # circle by 1/(2|r|) stays on the source isotropy subtorus but shifts
+        # the image off the target one by exactly one half in that dual
+        # coordinate, so the two points are equal but their images are not.
+        annihilator = target.isotropy_lattice(morphism.face_map[face])._annihilator
+        dots = (sum(a * b for a, b in zip(w, moved)) for w in annihilator)
+        r = next((x for x in dots if x), 0)
+        if r == 0:
             continue
-        witness = _escape_witness(source, facet, moved, lattice, n)
-        return CompatibilityViolation(facet=facet, source_points=witness)
+        scale = Fraction(1, 2 * abs(r))
+        base = ModelPoint(TorusPoint.zero(source.n), face, "witness")
+        shifted = ModelPoint(
+            TorusPoint(tuple(scale * x for x in vector)), face, "witness"
+        )
+        return CompatibilityViolation(facet=facet, source_points=(base, shifted))
     return None
-
-
-def _escape_witness(
-    source: CharacteristicPair,
-    facet: int,
-    moved: tuple[int, ...],
-    lattice: Sublattice,
-    n: int,
-) -> tuple[ModelPoint, ModelPoint]:
-    """Equal source points whose induced images differ.
-
-    The moved facet vector leaves the image isotropy lattice, so its dot
-    product r with some annihilator vector of that lattice is nonzero; the
-    first such r is taken.  Scaling the facet circle by 1/(2|r|) stays on
-    the source isotropy subtorus but shifts the image off the target one by
-    exactly one half in that dual coordinate.
-    """
-    dots = (sum(a * b for a, b in zip(w, moved)) for w in lattice._annihilator)
-    r = next(x for x in dots if x)
-    scale = Fraction(1, 2 * abs(r))
-    vector = source.char.vector(facet)
-    face = Face((facet,))
-    base = ModelPoint(TorusPoint.zero(n), face, "witness")
-    shifted = ModelPoint(
-        TorusPoint(tuple(scale * x for x in vector)), face, "witness"
-    )
-    return base, shifted
 
 
 # ---------------------------------------------------------------------------

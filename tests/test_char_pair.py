@@ -28,7 +28,7 @@ from torquo.char_pair import (
 )
 from torquo.errors import DimensionError, NoSuchFaceError, PreconditionError
 from torquo.face_complex import Face
-from torquo.lattice import TorusPoint
+from torquo.lattice import Sublattice, TorusPoint
 
 
 def test_function_shape_checks():
@@ -151,6 +151,20 @@ def test_isotropy_lattice():
     assert vertex.rank == 2
     with pytest.raises(NoSuchFaceError):
         pair.isotropy_lattice(Face((0, 1, 2)))
+
+
+def test_isotropy_lattice_is_built_once_per_face():
+    for pair in (triangle_pair(), hirzebruch_pair(2)):
+        for face in pair.complex.faces:
+            lattice = pair.isotropy_lattice(face)
+            assert pair.isotropy_lattice(face) is lattice
+            assert pair.isotropy_lattice(face.facets) is lattice
+            fresh = Sublattice.spanned_by(pair.n, pair.face_vectors(face))
+            assert lattice.basis == fresh.basis
+    pair = triangle_pair()
+    for _ in range(2):
+        with pytest.raises(NoSuchFaceError, match=r"^\[0, 1, 2\] is not a face of the complex$"):
+            pair.isotropy_lattice((2, 1, 0))
 
 
 def test_isotropy_rank_equals_codim_and_monotone():

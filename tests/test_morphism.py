@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from torquo.char_pair import CharacteristicFunction, CharacteristicPair, ModelPoint
 from torquo.errors import DimensionError, NoSuchFaceError, PreconditionError
-from torquo.face_complex import Face
+from torquo.face_complex import Face, isomorphisms
 from torquo.lattice import IntMatrix, TorusPoint, UnimodularMatrix
 from torquo.morphism import (
     Morphism,
@@ -25,7 +26,7 @@ from torquo.morphism import (
     straight_line_homotopy_apply,
 )
 
-from oracles import witness_certifies
+from oracles import member_oracle, witness_certifies
 from conftest import (
     coherent_reps,
     cube_pair,
@@ -306,6 +307,64 @@ def test_random_incompatibilities_always_come_with_witnesses():
             morphism.torus_map.rows, source, source, image_face.facets,
             violation.facet, p.t.coords, q.t.coords,
         )
+
+
+def test_compatibility_matches_the_membership_oracle():
+    """check_compatibility against member_oracle, facet by facet.
+
+    Facet maps are automorphisms drawn from isomorphisms(cx, cx), plus the
+    cube folded onto facet 4, which is no bijection.  Every odd trial's
+    target is relabeled along the drawn automorphism to match a torus map
+    tau, and half the trials use tau itself, so both answers occur.
+    """
+    rng = random.Random(5150)
+    cases = []
+    for trial in range(150):
+        source = random_valid_pair(rng)
+        cx, n = source.complex, source.n
+        perm = rng.choice(isomorphisms(cx, cx))
+        tau = random_unimodular(rng, n)
+        target = source
+        if trial % 2:
+            vectors: list = [None] * cx.m
+            for i in range(cx.m):
+                sign = rng.choice((1, -1))
+                vectors[perm[i]] = tuple(sign * x for x in tau.mul_vector(source.char.vector(i)))
+            target = CharacteristicPair(cx, CharacteristicFunction(n, tuple(vectors)))
+        sigma = tau if rng.random() < 0.5 else random_unimodular(rng, n)
+        cases.append((Morphism(sigma, skeletal_from_facet_map(cx, cx, perm)), source, target))
+    cube = cube_pair()
+    fold = SkeletalMap(cube.complex, cube.complex, {
+        face: Face(tuple(sorted((set(face.facets) - {5}) | {4})))
+        for face in cube.complex.faces
+    })
+    sigmas = [unimod(((1, 0, 0), (0, 1, 0), (0, 0, 1))), unimod(((1, 0, 0), (1, 1, 0), (0, 0, 1)))]
+    sigmas += [random_unimodular(rng, 3) for _ in range(20)]
+    cases += [(Morphism(sigma, fold), cube, cube) for sigma in sigmas]
+    answers = Counter()
+    for morphism, source, target in cases:
+        sigma = morphism.torus_map
+        images = [morphism.face_map[Face((i,))] for i in range(source.complex.m)]
+        failing = [
+            i
+            for i, image in enumerate(images)
+            if not member_oracle(
+                sigma.mul_vector(source.char.vector(i)),
+                [target.char.vector(j) for j in image.facets],
+            )
+        ]
+        violation = check_compatibility(morphism, source, target)
+        answers[violation is None] += 1
+        if not failing:
+            assert violation is None
+            continue
+        assert violation is not None and violation.facet == failing[0]
+        p, q = violation.source_points
+        assert witness_certifies(
+            sigma.rows, source, target, images[violation.facet].facets,
+            violation.facet, p.t.coords, q.t.coords,
+        )
+    assert answers[True] >= 30 and answers[False] >= 30
 
 
 def test_compatibility_requires_matching_complexes():
