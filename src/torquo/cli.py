@@ -4,8 +4,9 @@ Exit codes: 0 for success or a true answer, 2 for a well-formed negative
 answer (invalid characteristic function, unequal points, no equivalence,
 failed map check), 1 for input errors of any kind.  Reports go to stdout
 as JSON with sorted keys; diagnostics go to stderr.  TORQUO_THREADS caps
-the parallelism of enumeration.  A handler raises each negative report as
-a private _Negative where it is found, and run() writes it and returns 2.
+the parallelism of enumeration.  A negative report is raised as a private
+_Negative where it is found, and run() writes it and returns 2; only
+point-eq, whose two answers share one report, returns 2 itself.
 
 Flag syntaxes not fixed by the file format:
 
