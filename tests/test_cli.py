@@ -81,7 +81,7 @@ def test_parse_normalizes_vertex_and_rep_order():
     assert serialize_problem(parse_problem(once)) == once
 
 
-def test_parse_diagnostics():
+def test_parse_diagnostics(tmp_path):
     with pytest.raises(ProblemFileError, match="line 1, column"):
         parse_problem("{\"n\": 2,")
     with pytest.raises(ProblemFileError, match='missing required field "n"'):
@@ -115,6 +115,48 @@ def test_parse_diagnostics():
             '{"n": 1, "vertices": [[0]], "contractible_faces": true,'
             ' "reps": [{"face": [0], "point": [5]}]}'
         )
+    base = '"n": 1, "vertices": [[0]], "contractible_faces": true'
+    shape_errors = [
+        ("[1, 2]", "top level must be a JSON object"),
+        ('{"n": 1, "contractible_faces": true}', 'missing required field "vertices"'),
+        (
+            '{"n": 1, "vertices": [], "contractible_faces": true}',
+            '"vertices" must be a non-empty list',
+        ),
+        ('{"n": 1, "vertices": [0], "contractible_faces": true}', '"vertices"[0] must be a list'),
+        ('{%s, "facets": ["a", 1]}' % base, '"facets" must be a list of strings'),
+        ('{%s, "lambda": []}' % base, '"lambda" must be a non-empty list of rows'),
+        ('{%s, "lambda": [1]}' % base, '"lambda"[0] must be a list'),
+        (
+            '{"n": 1, "vertices": [[0]], "contractible_faces": 1}',
+            '"contractible_faces" must be true or false',
+        ),
+        ('{%s, "reps": {}}' % base, '"reps" must be a list'),
+        (
+            '{%s, "reps": [{"face": [0]}]}' % base,
+            '"reps"[0] must be an object with "face" and "point"',
+        ),
+        ('{%s, "reps": [{"face": 0, "point": ["0"]}]}' % base, '"reps"[0].face must be a list'),
+        (
+            '{%s, "reps": [{"face": [0], "point": ["0", "0"]}]}' % base,
+            '"reps"[0].point must be a list of 1 rationals',
+        ),
+    ]
+    for text, message in shape_errors:
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(text)
+        assert str(info.value) == message, text
+    no_lambda = "{%s}" % base
+    with pytest.raises(ProblemFileError) as info:
+        parse_problem(no_lambda).build_pair()
+    assert str(info.value) == 'document has no "lambda" matrix'
+    doc = tmp_path / "no_lambda.json"
+    doc.write_text(no_lambda, encoding="utf-8")
+    assert invoke("validate", str(doc)) == (
+        1,
+        "",
+        f'error: {doc}: document has no "lambda" matrix\n',
+    )
 
 
 def test_rational_format_round_trip():
@@ -465,6 +507,25 @@ def test_map_check_facet_map_negatives_and_errors(tmp_path):
     )
     assert code == 1 and "facet_map" in err
 
+    shape_errors = [
+        ([0, 1, 2], "mapfile must be a JSON object"),
+        ({"facet_map": "x"}, '"facet_map" must be a list of facet ids'),
+        ({"facet_map": [0, True, 2]}, '"facet_map" must be a list of facet ids'),
+        ({"face_map": {}}, '"face_map" must be a list of [from, to] pairs'),
+        ({"face_map": [[[0]]]}, '"face_map"[0] must be [fromFacets, toFacets]'),
+        ({"face_map": [[[], []]]}, "face_map is missing face [0]"),
+    ]
+    for i, (doc, message) in enumerate(shape_errors):
+        mapfile = tmp_path / f"shape{i}.json"
+        mapfile.write_text(json.dumps(doc), encoding="utf-8")
+        assert invoke(
+            "map-check",
+            path("triangle.json"),
+            path("triangle.json"),
+            "--phi", str(mapfile),
+            "--sigma", "1,0;0,1",
+        ) == (1, "", f"error: {mapfile}: {message}\n"), doc
+
 
 def test_map_check_sigma_errors():
     for bad in ("1,0;0", "a,b;c,d", "2,0;0,1", "1,0,0;0,1,0;0,0,1"):
@@ -534,6 +595,20 @@ def test_homotopy_sample_needs_a_reps_table(tmp_path):
     )
     assert code == 1
     assert "reps" in err
+
+    doc = json.loads((DATA / "triangle.json").read_text(encoding="utf-8"))
+    doc["reps"] = [entry for entry in doc["reps"] if entry["face"] != [1, 2]]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(doc), encoding="utf-8")
+    assert invoke(
+        "homotopy-sample",
+        str(partial),
+        path("triangle.json"),
+        "--phi", path("map_identity3.json"),
+        "--sigma", "1,0;0,1",
+        "--point", "0,0@-",
+        "--s", "0",
+    ) == (1, "", f"error: {partial}: reps table is missing face [1, 2]\n")
 
 
 def test_homotopy_sample_incoherent_reps(tmp_path):
