@@ -15,7 +15,6 @@ from .char_pair import (
     CharacteristicPair,
     ModelPoint,
     Stratum,
-    validate_characteristic,
 )
 from .classify import (
     EquivalenceWitness,
@@ -37,7 +36,7 @@ from .errors import (
     SimplicityError,
     TorquoError,
 )
-from .face_complex import Face, FaceComplex, build_complex, isomorphisms
+from .face_complex import Face, FaceComplex, isomorphisms
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -93,7 +92,6 @@ __all__ = [
     "TorquoError",
     "TorusPoint",
     "UnimodularMatrix",
-    "build_complex",
     "check_compatibility",
     "check_reps_coherence",
     "check_skeletal",
@@ -118,7 +116,6 @@ __all__ = [
     "smith_normal_form",
     "straight_line_homotopy_apply",
     "subtorus_contains",
-    "validate_characteristic",
     "verify_witness",
     "weak_classes",
 ]

@@ -149,7 +149,7 @@ class CharacteristicPair:
         if lattice is None:
             if not self.complex.has_face(face.facets):
                 raise NoSuchFaceError(f"{list(face.facets)} is not a face of the complex")
-            lattice = Sublattice.spanned_by(self.n, self.face_vectors(face))
+            lattice = Sublattice(self.n, self.face_vectors(face))
             self._isotropy[face] = lattice
         return lattice
 
@@ -213,8 +213,3 @@ class CharacteristicPair:
 
     def __repr__(self) -> str:
         return f"CharacteristicPair(complex={self.complex!r}, char={self.char!r})"
-
-
-def validate_characteristic(pair: CharacteristicPair) -> Face | None:
-    """None for a valid pair, otherwise the lex-first violating face."""
-    return pair.first_violation()

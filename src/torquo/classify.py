@@ -44,7 +44,7 @@ class EquivalenceWitness:
 
 @dataclass(frozen=True)
 class InvariantSignature:
-    """Cheap necessary conditions for equivalence."""
+    """Counts preserved by every equivalence, as the invariants command reports them."""
 
     n: int
     facet_count: int
@@ -54,12 +54,12 @@ class InvariantSignature:
 
 
 def invariant_signature(pair: CharacteristicPair) -> InvariantSignature:
-    """Signature preserved by every equivalence; a fast-reject filter.
+    """Signature of a validated pair, preserved by every equivalence.
 
     vertex_dets holds |det| of the facet vectors at each maximal face.  The
     pair is validated first, and on a valid pair the n vectors of every
     maximal face form a lattice basis, so each entry is 1 without computing
-    a determinant.
+    a determinant.  Every field therefore depends only on the complex.
     """
     pair.require_valid()
     cx = pair.complex
@@ -149,8 +149,6 @@ def equivalent(
     second.require_valid()
     if first.n != second.n:
         raise DimensionError(f"rank mismatch: {first.n} vs {second.n}")
-    if invariant_signature(first) != invariant_signature(second):
-        return None
     base = first.complex.maximal_faces[0].facets
     matches: dict[tuple[IntVector, ...], list[tuple[int, ...]]] = {}
     for form, signs in _forms(first.char.vectors, base):

@@ -99,10 +99,6 @@ class FaceComplex:
         self.maximal_faces: tuple[Face, ...] = tuple(sorted(maximal))
         self.faces: tuple[Face, ...] = tuple(sorted(faces))
         self._face_set: frozenset[tuple[int, ...]] = frozenset(f.facets for f in faces)
-        by_codim: dict[int, list[Face]] = {}
-        for face in self.faces:
-            by_codim.setdefault(face.codim, []).append(face)
-        self._by_codim = {k: tuple(v) for k, v in by_codim.items()}
 
     # -- queries ------------------------------------------------------------
 
@@ -112,7 +108,7 @@ class FaceComplex:
     def faces_of_codim(self, k: int) -> tuple[Face, ...]:
         if k < 0 or k > self.n:
             raise DimensionError(f"codimension {k} out of range 0..{self.n}")
-        return self._by_codim.get(k, ())
+        return tuple(face for face in self.faces if face.codim == k)
 
     def smallest_face(self, facets: Iterable[FacetId]) -> Face:
         """The face supported on exactly the given facets.
@@ -153,10 +149,6 @@ class FaceComplex:
     def __repr__(self) -> str:
         verts = [list(f.facets) for f in self.maximal_faces]
         return f"FaceComplex(n={self.n}, m={self.m}, maximal_faces={verts})"
-
-
-def build_complex(n: int, m: int, maximal_faces: Iterable[Iterable[FacetId]]) -> FaceComplex:
-    return FaceComplex(n, m, maximal_faces)
 
 
 def isomorphisms(first: FaceComplex, second: FaceComplex) -> list[tuple[FacetId, ...]]:

@@ -89,10 +89,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         if isinstance(n, bool) or not isinstance(n, int):
             raise DimensionError(f"identity size n must be an integer, got {n!r}")
@@ -207,10 +203,6 @@ class TorusPoint:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def _check_dim(self, other: "TorusPoint") -> None:
         if self.dim != other.dim:
             raise DimensionError(f"torus dimensions differ: {self.dim} vs {other.dim}")
@@ -290,31 +282,23 @@ class Sublattice:
             raise DimensionError("ambient dimension must be >= 1")
         object.__setattr__(self, "basis", hermite_rows(self.basis, self.ambient))
 
-    @classmethod
-    def spanned_by(cls, ambient: int, rows: Iterable[Sequence[int]]) -> "Sublattice":
-        return cls(ambient, tuple(tuple(row) for row in rows))
-
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def member(self, v: Sequence[int]) -> bool:
-        """Whether v is an integer combination of the basis rows."""
+        """Whether v is an integer combination of the basis rows.
+
+        The Hermite basis of a lattice is unique, so adding v leaves it
+        unchanged exactly when v already lies in the lattice.
+        """
         if len(v) != self.ambient:
             raise DimensionError(f"vector length {len(v)} does not match ambient {self.ambient}")
-        residue = [_as_int(x) for x in v]
-        for row in reversed(self.basis):
-            col = _last_nonzero(row)
-            if residue[col] % row[col]:
-                return False
-            q = residue[col] // row[col]
-            if q:
-                residue = [a - q * b for a, b in zip(residue, row)]
-        return not any(residue)
+        return hermite_rows((*self.basis, v), self.ambient) == self.basis
 
     def is_saturated(self) -> bool:
         """Whether the basis extends to a basis of the ambient lattice."""
-        return extends_to_basis(self.basis) if self.basis else True
+        return extends_to_basis(self.basis)
 
     @cached_property
     def _annihilator(self) -> tuple[IntVector, ...] | None:
@@ -326,13 +310,6 @@ class Sublattice:
         if v is None:
             return None
         return tuple(tuple(row[j] for row in v) for j in range(self.rank, n))
-
-
-def _last_nonzero(row: Sequence[int]) -> int:
-    for j in reversed(range(len(row))):
-        if row[j] != 0:
-            return j
-    raise PreconditionError("zero row has no pivot")
 
 
 # ---------------------------------------------------------------------------

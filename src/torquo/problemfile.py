@@ -203,10 +203,6 @@ def parse_problem(text: str) -> ProblemFile:
         problem.build_complex()
     except TorquoError as exc:
         raise ProblemFileError(str(exc)) from None
-    if lambda_rows is not None and len(lambda_rows) != problem.facet_count:
-        raise ProblemFileError(
-            f'"lambda" has {len(lambda_rows)} rows for {problem.facet_count} facets'
-        )
     return problem
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from torquo.char_pair import CharacteristicFunction, CharacteristicPair, ModelPoint
-from torquo.face_complex import Face, FaceComplex, build_complex, isomorphisms
+from torquo.face_complex import Face, FaceComplex, isomorphisms
 from torquo.lattice import IntMatrix, TorusPoint, UnimodularMatrix
 from torquo.morphism import Morphism, SkeletalMap, skeletal_from_facet_map
 
@@ -22,28 +22,28 @@ def data_dir() -> Path:
 
 
 def make_triangle() -> FaceComplex:
-    return build_complex(2, 3, [[0, 1], [1, 2], [0, 2]])
+    return FaceComplex(2, 3, [[0, 1], [1, 2], [0, 2]])
 
 
 def make_square() -> FaceComplex:
-    return build_complex(2, 4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+    return FaceComplex(2, 4, [[0, 1], [1, 2], [2, 3], [0, 3]])
 
 
 def make_pentagon() -> FaceComplex:
-    return build_complex(2, 5, [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
+    return FaceComplex(2, 5, [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
 
 
 def make_segment() -> FaceComplex:
-    return build_complex(1, 2, [[0], [1]])
+    return FaceComplex(1, 2, [[0], [1]])
 
 
 def make_simplex3() -> FaceComplex:
-    return build_complex(3, 4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    return FaceComplex(3, 4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 
 
 def make_cube() -> FaceComplex:
     vertices = [[x, 2 + y, 4 + z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    return build_complex(3, 6, vertices)
+    return FaceComplex(3, 6, vertices)
 
 
 def triangle_pair() -> CharacteristicPair:

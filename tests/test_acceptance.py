@@ -17,7 +17,7 @@ from oracles import (
     extends_oracle,
     witness_certifies,
 )
-from torquo.char_pair import CharacteristicPair, validate_characteristic
+from torquo.char_pair import CharacteristicPair
 from torquo.classify import (
     enumerate_characteristic,
     equivalent,
@@ -208,7 +208,7 @@ def test_c6_enumeration_counts_and_determinism():
     for jobs in (2, 3):
         assert enumerate_characteristic(square, 2, normalize=True, jobs=jobs) == runs[0]
     for func in runs[0]:
-        assert validate_characteristic(CharacteristicPair(square, func)) is None
+        assert CharacteristicPair(square, func).first_violation() is None
     print(f"C6 PASS: triangle bound 1 normalized gave exactly "
           f"{len(found)} functions in {len(classes)} weak class "
           f"(oracle agrees); square bound 2 normalized gave {len(runs[0])} "

@@ -24,7 +24,6 @@ from torquo.char_pair import (
     CharacteristicFunction,
     CharacteristicPair,
     ModelPoint,
-    validate_characteristic,
 )
 from torquo.errors import DimensionError, NoSuchFaceError, PreconditionError
 from torquo.face_complex import Face
@@ -105,13 +104,13 @@ def test_function_check_matches_per_entry_oracle(args):
 
 
 def test_validation_worked_examples():
-    assert validate_characteristic(triangle_pair()) is None
+    assert triangle_pair().first_violation() is None
     for k in range(-3, 4):
-        assert validate_characteristic(hirzebruch_pair(k)) is None
+        assert hirzebruch_pair(k).first_violation() is None
     bad = CharacteristicPair(
         make_square(), CharacteristicFunction(2, ((1, 0), (0, 1), (2, 1), (0, 1)))
     )
-    assert validate_characteristic(bad) == Face((1, 2))
+    assert bad.first_violation() == Face((1, 2))
 
 
 def test_validation_lex_first_violation():
@@ -119,12 +118,12 @@ def test_validation_lex_first_violation():
     pair = CharacteristicPair(
         make_triangle(), CharacteristicFunction(2, ((2, 2), (0, 1), (1, 1)))
     )
-    assert validate_characteristic(pair) == Face((0,))
+    assert pair.first_violation() == Face((0,))
     # dependent vertex pair reported at the first vertex in lex order
     pair2 = CharacteristicPair(
         make_triangle(), CharacteristicFunction(2, ((1, 0), (1, 0), (0, 1)))
     )
-    assert validate_characteristic(pair2) == Face((0, 1))
+    assert pair2.first_violation() == Face((0, 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,7 +158,7 @@ def test_isotropy_lattice_is_built_once_per_face():
             lattice = pair.isotropy_lattice(face)
             assert pair.isotropy_lattice(face) is lattice
             assert pair.isotropy_lattice(face.facets) is lattice
-            fresh = Sublattice.spanned_by(pair.n, pair.face_vectors(face))
+            fresh = Sublattice(pair.n, pair.face_vectors(face))
             assert lattice.basis == fresh.basis
     pair = triangle_pair()
     for _ in range(2):

@@ -421,10 +421,10 @@ def test_enumeration_pool_under_spawn_matches_one_job():
     code = (
         "import multiprocessing\n"
         "from torquo.classify import enumerate_characteristic\n"
-        "from torquo.face_complex import build_complex\n"
+        "from torquo.face_complex import FaceComplex\n"
         "multiprocessing.set_start_method('spawn')\n"
         "vertices = [[x, 2 + y, 4 + z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]\n"
-        "found = enumerate_characteristic(build_complex(3, 6, vertices), 1, True, 2)\n"
+        "found = enumerate_characteristic(FaceComplex(3, 6, vertices), 1, True, 2)\n"
         "print([f.vectors for f in found])\n"
     )
     root = Path(__file__).resolve().parent.parent

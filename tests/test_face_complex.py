@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_cube, make_pentagon, make_segment, make_simplex3, make_square, make_triangle
 from torquo.errors import ComplexInputError, DimensionError, NoSuchFaceError, SimplicityError
-from torquo.face_complex import Face, build_complex, isomorphisms
+from torquo.face_complex import Face, FaceComplex, isomorphisms
 
 
 def test_face_encoding():
@@ -54,19 +54,19 @@ def test_smallest_face():
 
 def test_construction_errors():
     with pytest.raises(SimplicityError):
-        build_complex(2, 3, [[0, 1, 2]])
+        FaceComplex(2, 3, [[0, 1, 2]])
     with pytest.raises(ComplexInputError):
-        build_complex(2, 3, [[0, 0]])
+        FaceComplex(2, 3, [[0, 0]])
     with pytest.raises(ComplexInputError):
-        build_complex(2, 3, [[0, 1], [0, 1]])
+        FaceComplex(2, 3, [[0, 1], [0, 1]])
     with pytest.raises(ComplexInputError):
-        build_complex(2, 4, [[0, 1], [1, 2], [0, 2]])  # facet 3 dangling
+        FaceComplex(2, 4, [[0, 1], [1, 2], [0, 2]])  # facet 3 dangling
     with pytest.raises(ComplexInputError):
-        build_complex(2, 3, [[0, 7]])
+        FaceComplex(2, 3, [[0, 7]])
     with pytest.raises(ComplexInputError):
-        build_complex(0, 1, [[0]])
+        FaceComplex(0, 1, [[0]])
     with pytest.raises(ComplexInputError):
-        build_complex(2, 1, [[0]])  # m < n
+        FaceComplex(2, 1, [[0]])  # m < n
 
 
 def test_facet_degree():
@@ -96,7 +96,7 @@ def test_isomorphism_group_orders():
 def test_isomorphisms_between_different_complexes():
     assert isomorphisms(make_triangle(), make_square()) == []
     assert isomorphisms(make_triangle(), make_simplex3()) == []
-    shifted = build_complex(2, 4, [[0, 2], [1, 2], [1, 3], [0, 3]])
+    shifted = FaceComplex(2, 4, [[0, 2], [1, 2], [1, 3], [0, 3]])
     found = isomorphisms(make_square(), shifted)
     assert len(found) == 8
     max_target = {f.facets for f in shifted.maximal_faces}

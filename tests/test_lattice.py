@@ -66,13 +66,13 @@ def test_size_arguments_must_be_ints():
 
 
 def test_matrix_product_and_det():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    b = IntMatrix.from_rows([[0, 1], [1, 0]])
+    a = IntMatrix([[1, 2], [3, 4]])
+    b = IntMatrix([[0, 1], [1, 0]])
     assert (a @ b).rows == ((2, 1), (4, 3))
     assert a.det() == -2
     assert IntMatrix.identity(3).det() == 1
-    assert IntMatrix.from_rows([[2, 0], [0, 3]]).det() == 6
-    assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
+    assert IntMatrix([[2, 0], [0, 3]]).det() == 6
+    assert IntMatrix([[1, 2], [2, 4]]).det() == 0
 
 
 def test_unimodular_rejects_non_units():
@@ -107,7 +107,7 @@ def test_unimodular_check_agrees_with_det():
                 rows[i] = list(rows[(i + 1) % n])
             else:
                 rows[i] = [0]
-        det = IntMatrix.from_rows(rows).det()
+        det = IntMatrix(rows).det()
         assert det == cofactor_det(rows)
         dets.add(det)
         if det in (1, -1):
@@ -138,7 +138,7 @@ def test_unimodular_inverse_round_trip():
                   for j in range(5)] for i in range(5)]
         lower = [[int(i == j) or (rng.randint(-9, 9) if j < i else 0)
                   for j in range(5)] for i in range(5)]
-        product = (IntMatrix.from_rows(upper) @ IntMatrix.from_rows(lower)).rows
+        product = (IntMatrix(upper) @ IntMatrix(lower)).rows
         flipped = [list(r) for r in product]
         flipped[0] = [-a for a in flipped[0]]
         flipped[1], flipped[4] = flipped[4], flipped[1]
@@ -155,7 +155,7 @@ def test_unimodular_inverse_round_trip():
 @settings(max_examples=150, deadline=None)
 @given(matrices)
 def test_snf_transforms_and_divisibility(rows):
-    m = IntMatrix.from_rows(rows)
+    m = IntMatrix(rows)
     d, u, v = smith_normal_form(m)
     assert (u @ m @ v).rows == d.rows
     factors = [d.rows[i][i] for i in range(min(m.nrows, m.ncols))]
@@ -171,7 +171,7 @@ def test_snf_transforms_and_divisibility(rows):
 @settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_snf_matches_minor_gcds(rows):
-    m = IntMatrix.from_rows(rows)
+    m = IntMatrix(rows)
     factors = invariant_factors(m)
     product = 1
     for k, factor in enumerate(factors, start=1):
@@ -180,10 +180,10 @@ def test_snf_matches_minor_gcds(rows):
 
 
 def test_snf_worked_examples():
-    assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
-    assert invariant_factors(IntMatrix.from_rows([[1, 0], [0, 1]])) == (1, 1)
-    assert invariant_factors(IntMatrix.from_rows([[2, 4], [4, 8]])) == (2, 0)
-    assert invariant_factors(IntMatrix.from_rows([[6]])) == (6,)
+    assert invariant_factors(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
+    assert invariant_factors(IntMatrix([[1, 0], [0, 1]])) == (1, 1)
+    assert invariant_factors(IntMatrix([[2, 4], [4, 8]])) == (2, 0)
+    assert invariant_factors(IntMatrix([[6]])) == (6,)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ def test_hermite_preserves_membership():
         n = rng.randint(1, 4)
         k = rng.randint(1, 3)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
-        lattice = Sublattice.spanned_by(n, rows)
+        lattice = Sublattice(n, rows)
         coeffs = [rng.randint(-3, 3) for _ in range(k)]
         combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
         assert lattice.member(combo)
@@ -313,7 +313,7 @@ def test_complete_to_basis_contract():
                   for j in range(n)] for i in range(n)]
         lower = [[int(i == j) or (rng.randint(-10**3, 10**3) if j < i else 0)
                   for j in range(n)] for i in range(n)]
-        full = [list(r) for r in (IntMatrix.from_rows(lower) @ IntMatrix.from_rows(upper)).rows]
+        full = [list(r) for r in (IntMatrix(lower) @ IntMatrix(upper)).rows]
         for k in range(1, n + 1):
             w = complete_to_basis(full[:k])
             assert [list(r) for r in w.rows[:k]] == full[:k]
@@ -329,14 +329,14 @@ def test_complete_to_basis_contract():
 
 
 def test_lattice_member_examples():
-    lattice = Sublattice.spanned_by(2, [[1, 1], [0, 2]])
+    lattice = Sublattice(2, [[1, 1], [0, 2]])
     assert lattice.basis == ((2, 0), (1, 1))
     assert lattice_member((1, 1), lattice)
     assert lattice_member((3, 1), lattice)
     assert lattice_member((2, 0), lattice)
     assert not lattice_member((1, 0), lattice)
     assert not lattice_member((0, 1), lattice)
-    empty = Sublattice.spanned_by(2, [])
+    empty = Sublattice(2, [])
     assert lattice_member((0, 0), empty)
     assert not lattice_member((1, 0), empty)
     with pytest.raises(DimensionError):
@@ -349,7 +349,7 @@ def test_lattice_member_against_oracle():
         n = rng.randint(1, 4)
         k = rng.randint(0, 3)
         basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
-        lattice = Sublattice.spanned_by(n, basis)
+        lattice = Sublattice(n, basis)
         vector = tuple(rng.randint(-8, 8) for _ in range(n))
         assert lattice.member(vector) == member_oracle(vector, basis)
 
@@ -359,20 +359,20 @@ def test_lattice_member_against_oracle():
 
 
 def test_subtorus_examples():
-    diagonal = Sublattice.spanned_by(2, [[1, 1]])
+    diagonal = Sublattice(2, [[1, 1]])
     assert subtorus_contains(TorusPoint((Fraction(1, 2), Fraction(1, 2))), diagonal)
     assert not subtorus_contains(TorusPoint((Fraction(1, 2), Fraction(0))), diagonal)
     assert subtorus_contains(TorusPoint((Fraction(1, 3), Fraction(1, 3))), diagonal)
-    full = Sublattice.spanned_by(2, [[1, 0], [0, 1]])
+    full = Sublattice(2, [[1, 0], [0, 1]])
     assert subtorus_contains(TorusPoint((Fraction(1, 7), Fraction(5, 9))), full)
-    trivial = Sublattice.spanned_by(2, [])
+    trivial = Sublattice(2, [])
     assert subtorus_contains(TorusPoint.zero(2), trivial)
     assert not subtorus_contains(TorusPoint((Fraction(1, 2), Fraction(0))), trivial)
 
 
 def test_subtorus_requires_saturated():
     with pytest.raises(PreconditionError):
-        subtorus_contains(TorusPoint.zero(2), Sublattice.spanned_by(2, [[2, 0]]))
+        subtorus_contains(TorusPoint.zero(2), Sublattice(2, [[2, 0]]))
 
 
 def test_subtorus_contains_rational_span():
@@ -386,7 +386,7 @@ def test_subtorus_contains_rational_span():
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
         if not extends_to_basis(rows):
             continue
-        lattice = Sublattice.spanned_by(n, rows)
+        lattice = Sublattice(n, rows)
         coords = [Fraction(0)] * n
         for row in lattice.basis:
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
@@ -412,7 +412,7 @@ def test_subtorus_contains_matches_brute_force_oracle():
         generators = rows[:k]
         if 1 <= k <= 2 and rng.random() < 0.3:
             generators = generators + [[a - 2 * b for a, b in zip(rows[0], rows[k - 1])]]
-        lattice = Sublattice.spanned_by(n, generators)
+        lattice = Sublattice(n, generators)
         den = rng.choice((2, 3, 4, 6))
         for _ in range(4):
             coords = [Fraction(rng.randint(-den, 2 * den), den) for _ in range(n)]
@@ -435,7 +435,7 @@ def test_subtorus_contains_matches_brute_force_oracle():
 
 
 def test_subtorus_membership_well_defined_mod_one():
-    lattice = Sublattice.spanned_by(2, [[1, 2]])
+    lattice = Sublattice(2, [[1, 2]])
     p = TorusPoint((Fraction(1, 2), Fraction(1)))
     q = TorusPoint((Fraction(3, 2), Fraction(4)))
     assert subtorus_contains(p, lattice) == subtorus_contains(q, lattice)
