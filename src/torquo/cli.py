@@ -49,6 +49,7 @@ from .morphism import (
 )
 from .problemfile import (
     ProblemFile,
+    _decode_json,
     format_rational,
     parse_problem,
 )
@@ -74,12 +75,18 @@ class _Negative(Exception):
 # small parsers for flag syntaxes
 
 
-def _load_problem(path: str) -> ProblemFile:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _load_problem(path: str) -> ProblemFile:
+    text = _read_text(path)
     try:
         return parse_problem(text)
     except TorquoError as exc:
@@ -142,13 +149,11 @@ def _parse_sigma_flag(text: str, n: int) -> UnimodularMatrix:
 def _load_skeletal(
     path: str, source: CharacteristicPair, target: CharacteristicPair, command: str
 ) -> SkeletalMap:
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        data = _decode_json(text)
+    except TorquoError as exc:
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: mapfile must be a JSON object")
     mapping: dict[Face, Face] = {}

@@ -92,14 +92,24 @@ def _expect_int(value: Any, where: str) -> int:
 _KNOWN_FIELDS = {"n", "facets", "vertices", "lambda", "contractible_faces", "reps"}
 
 
-def parse_problem(text: str) -> ProblemFile:
-    """Parse a problem document, raising with a line/field-path diagnostic."""
+def _decode_json(text: str) -> Any:
+    """The JSON value of the text; every decode failure is a one-line ProblemFileError."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ProblemFileError("JSON nesting is too deep") from None
+    except ValueError as exc:
+        # e.g. an integer longer than sys.get_int_max_str_digits()
+        raise ProblemFileError(f"cannot decode JSON: {exc}") from None
+
+
+def parse_problem(text: str) -> ProblemFile:
+    """Parse a problem document, raising with a line/field-path diagnostic."""
+    data = _decode_json(text)
     if not isinstance(data, dict):
         raise ProblemFileError("top level must be a JSON object")
     unknown = sorted(set(data) - _KNOWN_FIELDS)
@@ -160,11 +170,11 @@ def parse_problem(text: str) -> ProblemFile:
         raise ProblemFileError('"contractible_faces" must be true or false')
 
     reps: RepsTable | None = None
+    entries = []
     if "reps" in data:
         raw_reps = data["reps"]
         if not isinstance(raw_reps, list):
             raise ProblemFileError('"reps" must be a list')
-        entries = []
         for i, entry in enumerate(raw_reps):
             if not isinstance(entry, dict) or set(entry) != {"face", "point"}:
                 raise ProblemFileError(
@@ -186,10 +196,9 @@ def parse_problem(text: str) -> ProblemFile:
                 for j, x in enumerate(point_raw)
             )
             entries.append((facets, point))
-        entries.sort(key=lambda e: e[0])
         if len({facets for facets, _ in entries}) != len(entries):
             raise ProblemFileError('"reps" assigns the same face twice')
-        reps = tuple(entries)
+        reps = tuple(sorted(entries, key=lambda e: e[0]))
 
     problem = ProblemFile(
         n=n,
@@ -200,9 +209,13 @@ def parse_problem(text: str) -> ProblemFile:
         reps=reps,
     )
     try:
-        problem.build_complex()
+        complex_ = problem.build_complex()
     except TorquoError as exc:
         raise ProblemFileError(str(exc)) from None
+    # entries are in document order, so i is the index the file uses
+    for i, (facets, _) in enumerate(entries):
+        if len(set(facets)) != len(facets) or not complex_.has_face(facets):
+            raise ProblemFileError(f'"reps"[{i}].face {list(facets)} is not a face of the complex')
     return problem
 
 

@@ -159,6 +159,53 @@ def test_parse_diagnostics(tmp_path):
     )
 
 
+def test_reps_faces_must_be_faces_of_the_complex(tmp_path):
+    doc = json.loads((DATA / "triangle.json").read_text(encoding="utf-8"))
+    empty = {"face": [], "point": ["0/1", "0/1"]}
+    # the bad entry comes first in the file but sorts after the empty face
+    for face in ([0, 0], [-1], [7], [2, 0, 1]):
+        bad = dict(doc, reps=[{"face": face, "point": ["0/1", "0/1"]}, empty])
+        message = f'"reps"[0].face {sorted(face)} is not a face of the complex'
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(json.dumps(bad))
+        assert str(info.value) == message
+    doc_path = tmp_path / "bad_reps.json"
+    doc_path.write_text(json.dumps(bad), encoding="utf-8")
+    assert invoke("validate", str(doc_path)) == (1, "", f"error: {doc_path}: {message}\n")
+    # the complex's own errors come first
+    with pytest.raises(ProblemFileError) as info:
+        parse_problem(json.dumps(dict(bad, vertices=[[0, 1]])))
+    assert str(info.value) == "facets [2] lie on no maximal face"
+
+
+UNDECODABLE = {
+    "not-utf8": b'{"n": \xff}',
+    "too-deep": b"[" * 200000,
+    "long-int": b'{"n": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("kind", ["problem", "mapfile"])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_files_are_input_errors(tmp_path, name, kind):
+    if name == "long-int" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer digits")
+    bad = tmp_path / f"{name}.json"
+    bad.write_bytes(UNDECODABLE[name])
+    if kind == "problem":
+        argv = ("validate", str(bad))
+    else:
+        argv = ("map-check", path("triangle.json"), path("triangle.json"),
+                "--phi", str(bad), "--sigma", "1,0;0,1")
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: ")
+    assert err.endswith("\n") and err.count("\n") == 1
+    if kind == "problem" and name != "not-utf8":
+        with pytest.raises(ProblemFileError):
+            parse_problem(UNDECODABLE[name].decode())
+
+
 def test_rational_format_round_trip():
     for text in ("0/1", "1/2", "7/12", "3/4"):
         assert format_rational(parse_rational(text, "here")) == text
