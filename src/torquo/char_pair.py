@@ -51,6 +51,18 @@ class CharacteristicFunction:
             raise DimensionError(f"every facet vector must have length {self.n}")
         object.__setattr__(self, "vectors", vectors)
 
+    @classmethod
+    def _unchecked(cls, n: int, vectors: tuple[IntVector, ...]) -> "CharacteristicFunction":
+        """The function with these fields, built without __post_init__'s checks.
+
+        Only for callers that made the rows themselves: n an int >= 1 and
+        vectors a nonempty tuple of tuples of exact ints of length n.
+        """
+        func = object.__new__(cls)
+        object.__setattr__(func, "n", n)
+        object.__setattr__(func, "vectors", vectors)
+        return func
+
     @property
     def facet_count(self) -> int:
         return len(self.vectors)
@@ -110,17 +122,21 @@ class CharacteristicPair:
     def face_vectors(self, face: Face) -> tuple[IntVector, ...]:
         return tuple(self.char.vector(i) for i in face.facets)
 
+    def _extends(self, face: Face) -> bool:
+        return extends_to_basis(self.face_vectors(face))
+
     def first_violation(self) -> Face | None:
-        """First face, in lex order, whose vectors fail the basis condition."""
+        """First face, in lex order, whose vectors fail the basis condition.
+
+        Every face lies in a maximal face, and part of a basis extends to a
+        basis, so the pair is valid exactly when every maximal face passes.
+        Those are tested first; only when one fails does the lex scan over
+        all faces run, to name the first failing face.
+        """
         if not self._validated:
-            self._violation = next(
-                (
-                    face
-                    for face in self.complex.faces
-                    if not extends_to_basis(self.face_vectors(face))
-                ),
-                None,
-            )
+            if not all(map(self._extends, self.complex.maximal_faces)):
+                # a failing maximal face guarantees the scan stops
+                self._violation = next(f for f in self.complex.faces if not self._extends(f))
             self._validated = True
         return self._violation
 

@@ -212,27 +212,28 @@ def primitive_box(n: int, bound: int) -> list[IntVector]:
 
 
 def _collect(
-    cx: FaceComplex, domains: Sequence[Sequence[IntVector]]
+    cx: FaceComplex, box: Sequence[IntVector], domains: Sequence[int]
 ) -> list[tuple[IntVector, ...]]:
     """Constraint search core; returns assignments as tuples of facet vectors.
 
-    domains holds one sorted option sequence per facet.  Facets are
-    assigned in index order, each from its domain: its options narrowed, in
-    option order, to the vectors that pass the pair test against every
-    earlier facet it shares a codimension-2 face with.  Assigning a facet
-    narrows the domains of its later codimension-2 neighbours at once
-    (forward checking), so a choice that leaves some neighbour without a
-    vector is dropped before the facets in between are tried.  Faces of
-    codimension >= 3 are checked when their last facet is assigned, by an
-    itemgetter built once per call that picks the face's vectors out of the
-    assignment; singleton faces need no check because every option is
-    primitive.
+    box is the lex-sorted option list and domains holds one bitset per
+    facet: bit i set means box[i] is still an option.  Facets are assigned
+    in index order, each from its domain, with set bits walked in ascending
+    order.  Assigning box[i] to a facet narrows the domain of each later
+    codimension-2 neighbour to domain & pairs_with(i), the mask of the box
+    vectors that pass the pair test after box[i] (forward checking), so a
+    choice that leaves some neighbour without a vector is dropped before
+    the facets in between are tried.  Faces of codimension >= 3 are checked
+    when their last facet is assigned, by an itemgetter built once per call
+    that picks the face's vectors out of the assignment; singleton faces
+    need no check because every option is primitive.
 
     Every face test is answered from a table local to this call, keyed by
     the face's vectors in facet order, so each distinct tuple reaches
     extends_to_basis once per call and nothing carries over between calls.
-    Domains keep their order, so assignments come out in lexicographic
-    order of their rows.
+    pairs_with(i) is built on first use, one table lookup per box vector,
+    and kept for the rest of the call.  Bits are walked in box order, so
+    assignments come out in lexicographic order of their rows.
     """
     later: list[list[int]] = [[] for _ in range(cx.m)]
     check_at: list[list[itemgetter]] = [[] for _ in range(cx.m)]
@@ -250,6 +251,15 @@ def _collect(
             answer = table[rows] = extends_to_basis(rows)
         return answer
 
+    masks: dict[int, int] = {}
+
+    def pairs_with(i: int) -> int:
+        mask = masks.get(i)
+        if mask is None:
+            vec = box[i]
+            mask = masks[i] = sum(1 << j for j, w in enumerate(box) if extends((vec, w)))
+        return mask
+
     domains = list(domains)
     assign: list[IntVector | None] = [None] * cx.m
     results: list[tuple[IntVector, ...]] = []
@@ -259,14 +269,19 @@ def _collect(
             results.append(tuple(assign))  # type: ignore[arg-type]
             return
         saved = [(b, domains[b]) for b in later[facet]]
-        for vec in domains[facet]:
-            assign[facet] = vec
+        rest = domains[facet]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            assign[facet] = box[i]
             for face in check_at[facet]:
                 if not extends(face(assign)):
                     break
             else:
+                ok = pairs_with(i) if saved else 0
                 for b, domain in saved:
-                    narrowed = [w for w in domain if extends((vec, w))]
+                    narrowed = domain & ok
                     if not narrowed:
                         break
                     domains[b] = narrowed
@@ -293,17 +308,20 @@ def enumerate_characteristic(
     Output is in lexicographic order of the vector rows and identical for
     every jobs value.  No sort is needed for that: the search emits its
     assignments in that order, and with jobs > 1 the domain of the first
-    unpinned facet is cut into contiguous chunks, each searched by the same
-    _collect in a worker, whose results are joined in chunk order.  Each
-    search keeps its own table of face tests (see _collect), so no answer
-    is reused across calls.
+    unpinned facet is cut into contiguous chunks of box indices, each
+    searched by the same _collect in a worker, whose results are joined in
+    chunk order.  Each search keeps its own table of face tests (see
+    _collect), so no answer is reused across calls.
+
+    The rows come from primitive_box, so they are tuples of exact ints of
+    length n and each function is built without checking its entries again.
 
     bound and jobs must be ints >= 1 (bool is rejected).  jobs > 1 pays for
     starting a process pool, which can cost more than the search: on 2
     cores (Python 3.11, three runs of medians of 5, of 3 on the prism)
-    jobs=2 took 0.043-0.048 s against 0.022-0.030 s for jobs=1 on the
-    square at bound 2, 0.39-0.42 s against 0.47-0.54 s on the cube at
-    bound 2, normalized, and 2.19-2.29 s against 2.74-3.26 s on the prism
+    jobs=2 took 0.019-0.027 s against 0.007-0.008 s for jobs=1 on the
+    square at bound 2, 0.22-0.32 s against 0.32-0.36 s on the cube at
+    bound 2, normalized, and 0.75-0.97 s against 1.18-1.38 s on the prism
     over a hexagon at bound 1, normalized.
     """
     for name, value in (("bound", bound), ("jobs", jobs)):
@@ -312,26 +330,28 @@ def enumerate_characteristic(
         if value < 1:
             raise PreconditionError(f"{name} must be >= 1")
     box = primitive_box(cx.n, bound)
+    full = (1 << len(box)) - 1
     pinned = cx.maximal_faces[0].facets if normalize else ()
-    domains: list[Sequence[IntVector]] = [box] * cx.m
+    domains = [full] * cx.m
     for j, facet in enumerate(pinned):
-        domains[facet] = (tuple(int(k == j) for k in range(cx.n)),)
+        domains[facet] = 1 << box.index(tuple(int(k == j) for k in range(cx.n)))
     split = next((i for i in range(cx.m) if i not in pinned), None)
     if jobs == 1 or split is None or len(box) < 2 * jobs:
-        rows_list = _collect(cx, domains)
+        rows_list = _collect(cx, box, domains)
     else:
         step = -(-len(box) // jobs)
         chunk_domains = [
-            domains[:split] + [box[k : k + step]] + domains[split + 1 :]
+            domains[:split] + [((1 << step) - 1) << k & full] + domains[split + 1 :]
             for k in range(0, len(box), step)
         ]
+        count = len(chunk_domains)
         # imported here: multiprocessing is heavy and only this branch needs it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_collect, [cx] * len(chunk_domains), chunk_domains))
+            parts = list(pool.map(_collect, [cx] * count, [box] * count, chunk_domains))
         rows_list = [rows for part in parts for rows in part]
-    return [CharacteristicFunction(cx.n, rows) for rows in rows_list]
+    return [CharacteristicFunction._unchecked(cx.n, rows) for rows in rows_list]
 
 
 def weak_classes(

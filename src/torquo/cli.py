@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from .char_pair import CharacteristicPair, ModelPoint
 from .classify import (
@@ -504,8 +504,19 @@ def _cmd_invariants(args: argparse.Namespace, out) -> int:
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises its usage errors instead of printing and exiting.
+
+    run() then reports them like every other input error: one line on its
+    err stream and exit 1.  Subparsers are built with the same class.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torquo",
         description="Characteristic pairs over face complexes: validation, "
         "orbit structure, induced maps, equivalence.",
@@ -573,13 +584,12 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     """Entry point used by tests; returns the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code else EXIT_OK
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args, out)
+    except SystemExit:
+        # argparse exits only after printing --help; usage errors raise InputError
+        return EXIT_OK
     except _Negative as negative:
         _emit(negative.report, out)
         return EXIT_NEGATIVE

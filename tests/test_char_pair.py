@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import characteristic_vectors_oracle, subtorus_oracle
+from oracles import characteristic_vectors_oracle, extends_oracle, subtorus_oracle
 from conftest import (
     equivalent_partner,
     hirzebruch_pair,
+    make_cube,
+    make_pentagon,
+    make_simplex3,
     make_square,
     make_triangle,
     random_model_point,
@@ -25,8 +30,9 @@ from torquo.char_pair import (
     CharacteristicPair,
     ModelPoint,
 )
+from torquo.classify import enumerate_characteristic
 from torquo.errors import DimensionError, NoSuchFaceError, PreconditionError
-from torquo.face_complex import Face
+from torquo.face_complex import Face, FaceComplex
 from torquo.lattice import Sublattice, TorusPoint
 
 
@@ -124,6 +130,41 @@ def test_validation_lex_first_violation():
         make_triangle(), CharacteristicFunction(2, ((1, 0), (1, 0), (0, 1)))
     )
     assert pair2.first_violation() == Face((0, 1))
+
+
+def test_first_violation_matches_the_full_lex_scan():
+    # the maximal faces decide validity; the reported face must still be the
+    # lex-first failing face of the full scan, here taken with the oracle
+    simplex4 = FaceComplex(4, 5, itertools.combinations(range(5), 4))
+    triangles = list(itertools.combinations(range(3), 2))
+    duoprism = FaceComplex(4, 6, [[a, b, 3 + c, 3 + d] for a, b in triangles for c, d in triangles])
+    inputs = [
+        (make_triangle(), False),
+        (make_square(), False),
+        (make_pentagon(), True),
+        (make_simplex3(), True),
+        (make_cube(), True),
+        (simplex4, True),
+        (duoprism, True),
+    ]
+    rng = random.Random(1091)
+    seen = collections.Counter()
+    for cx, normalize in inputs:
+        found = enumerate_characteristic(cx, 1, normalize=normalize)
+        for func in rng.sample(found, min(len(found), 60)):
+            rows = [list(row) for row in func.vectors]
+            if rng.random() < 0.6:
+                rows[rng.randrange(cx.m)][rng.randrange(cx.n)] += rng.choice((1, -1))
+            pair = CharacteristicPair(cx, CharacteristicFunction(cx.n, tuple(map(tuple, rows))))
+            expected = next(
+                (face for face in cx.faces if not extends_oracle(pair.face_vectors(face))),
+                None,
+            )
+            assert pair.first_violation() == expected
+            seen["valid" if expected is None else f"codim {expected.codim}"] += 1
+    assert seen["valid"] >= 100
+    # failures below the maximal faces are where the lex scan picks the face
+    assert seen["codim 1"] >= 10 and seen["codim 2"] >= 20 and seen["codim 3"] >= 10
 
 
 @settings(max_examples=60, deadline=None)

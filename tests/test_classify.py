@@ -386,16 +386,19 @@ def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
 
 
 @pytest.mark.parametrize(
-    "make, normalize, jobs",
+    "make, normalize, jobs, bound",
     [
-        (make_triangle, False, 1),
-        (make_square, False, 1),
-        (make_square, False, 2),
-        (make_square, False, 3),
-        (make_pentagon, False, 1),
-        (make_simplex3, True, 1),
-        (make_cube, True, 1),
-        (make_cube, True, 2),
+        (make_triangle, False, 1, 1),
+        (make_square, False, 1, 1),
+        (make_square, False, 2, 1),
+        (make_square, False, 3, 1),
+        (make_pentagon, False, 1, 1),
+        (make_simplex3, True, 1, 1),
+        (make_cube, True, 1, 1),
+        (make_cube, True, 2, 1),
+        # chunks that do not divide the box: 16 options as 6/6/4, 26 as 9/9/8
+        (make_square, False, 3, 2),
+        (make_cube, True, 3, 1),
     ],
     ids=[
         "triangle",
@@ -406,14 +409,35 @@ def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
         "simplex3-normalized",
         "cube-normalized",
         "cube-normalized-jobs2",
+        "square-bound2-jobs3",
+        "cube-normalized-jobs3",
     ],
 )
-def test_enumeration_matches_brute_force_oracle(make, normalize, jobs):
+def test_enumeration_matches_brute_force_oracle(make, normalize, jobs, bound):
     # exact ordered comparison: the oracle sorts its own output, the search
     # must emit that order without sorting
     cx = make()
-    found = enumerate_characteristic(cx, 1, normalize=normalize, jobs=jobs)
-    assert [f.vectors for f in found] == brute_force_enumeration(cx, 1, normalize)
+    found = enumerate_characteristic(cx, bound, normalize=normalize, jobs=jobs)
+    assert [f.vectors for f in found] == brute_force_enumeration(cx, bound, normalize)
+
+
+@pytest.mark.parametrize(
+    "make, bound, normalize", [(make_square, 2, False), (make_cube, 1, True)],
+    ids=["square-bound2", "cube-normalized"],
+)
+def test_enumerated_functions_equal_checked_construction(make, bound, normalize):
+    # the search builds its functions without the entry check; each must be
+    # indistinguishable from one built by the public constructor
+    found = enumerate_characteristic(make(), bound, normalize=normalize)
+    assert found
+    for func in found:
+        checked = CharacteristicFunction(func.n, func.vectors)
+        assert func == checked and checked == func
+        assert hash(func) == hash(checked)
+        assert repr(func) == repr(checked)
+        assert type(func.vectors) is tuple
+        assert all(type(row) is tuple and len(row) == func.n for row in func.vectors)
+        assert all(type(x) is int for row in func.vectors for x in row)
 
 
 def test_enumeration_pool_under_spawn_matches_one_job():

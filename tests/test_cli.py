@@ -751,6 +751,40 @@ def test_unknown_subcommand_is_an_input_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["enumerate", "triangle.json", "--bound", "abc"],
+            "error: argument --bound: invalid int value: 'abc'\n",
+        ),
+        (
+            ["point-eq", "triangle.json", "--p", "-1,0@0", "--q", "0,0@-"],
+            "error: argument --p: expected one argument\n",
+        ),
+        (
+            ["isotropy", "triangle.json"],
+            "error: the following arguments are required: --face\n",
+        ),
+        # the choice list is quoted differently across Python versions
+        (["frobnicate"], "error: argument command: invalid choice: "),
+    ],
+    ids=["bound-not-int", "dash-value", "missing-face", "unknown-subcommand"],
+)
+def test_usage_errors_are_one_line_input_errors(argv, message, capsys):
+    argv = [path(a) if a.endswith(".json") else a for a in argv]
+    code, out, err = invoke(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+    # argparse writes nothing to the process's own streams
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_exits_zero(capsys):
+    assert run(["enumerate", "--help"], io.StringIO(), io.StringIO()) == 0
+    assert capsys.readouterr().out.startswith("usage: torquo enumerate")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "torquo", "validate", path("triangle.json")],

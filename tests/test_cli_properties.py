@@ -6,9 +6,12 @@ removed) and then possibly as bytes (one byte set, a span deleted, bytes
 inserted, or the text cut short), which also yields files that are not
 UTF-8 or not JSON.  Flags are drawn from well-formed values and from short
 junk strings, and the second file of a two-file command is often the first
-again.  Whatever the input, run() returns 0, 1 or 2 without
-raising; stdout is JSON on exits 0 and 2 (one report, or the JSON lines of
-enumerate) with nothing on stderr, and stderr is exactly one line on exit 1.
+again.  Some draws break the flag syntax itself so that argparse rejects
+it: a --bound that is not an int, a value starting with "-" given as a
+separate argument, a missing required flag, an unknown flag.  Whatever the
+input, run() returns 0, 1 or 2 without raising; stdout is JSON on exits 0
+and 2 (one report, or the JSON lines of enumerate) with nothing on stderr,
+and stderr is exactly one line on exit 1.
 Explicit examples pin the three decode failures (not UTF-8, nested too
 deeply, an over-long integer) for both file kinds, and one homotopy-sample
 that succeeds.
@@ -142,10 +145,11 @@ FLAGS = st.fixed_dictionaries(
         "point": POINTS,
         "sigma": _flag("1,0;0,1", "1,0;0,-1", "0,-1;1,-1", "1,1;0,1", "1", "2,0;0,1"),
         "s": _flag("0", "1", "1/2", "3/2", "1/0"),
-        "bound": st.integers(-1, 1),
+        "bound": st.integers(-1, 1) | st.sampled_from(["abc", "", "1.5"]),
         "mode": st.sampled_from(["weak", "strict"]),
         "normalize": st.booleans(),
         "group": st.booleans(),
+        "syntax": st.sampled_from(["joined", "joined", "joined", "split", "missing", "unknown"]),
     }
 )
 
@@ -163,6 +167,7 @@ DEFAULT_FLAGS = {
     "mode": "weak",
     "normalize": False,
     "group": False,
+    "syntax": "joined",
 }
 TRIANGLE = (DATA / "triangle.json").read_bytes()
 IDENTITY3 = (DATA / "map_identity3.json").read_bytes()
@@ -175,23 +180,33 @@ def workdir(tmp_path_factory):
 
 def _argv(command: str, paths: dict[str, str], flags: dict) -> list[str]:
     first, second, phi = paths["first"], paths["second"], paths["phi"]
+    positional, named = [first], []
     if command == "isotropy":
-        return [command, first, f"--face={flags['face']}"]
-    if command == "point-eq":
-        return [command, first, f"--p={flags['p']}", f"--q={flags['q']}"]
-    if command == "map-check":
-        return [command, first, second, f"--phi={phi}", f"--sigma={flags['sigma']}"]
-    if command == "homotopy-sample":
-        return [
-            command, first, second, f"--phi={phi}", f"--sigma={flags['sigma']}",
-            f"--point={flags['point']}", f"--s={flags['s']}",
-        ]
-    if command == "eq":
-        return [command, first, second, f"--mode={flags['mode']}"]
+        named = [("face", flags["face"])]
+    elif command == "point-eq":
+        named = [("p", flags["p"]), ("q", flags["q"])]
+    elif command in ("map-check", "homotopy-sample"):
+        positional = [first, second]
+        named = [("phi", phi), ("sigma", flags["sigma"])]
+        if command == "homotopy-sample":
+            named += [("point", flags["point"]), ("s", flags["s"])]
+    elif command == "eq":
+        positional = [first, second]
+        named = [("mode", flags["mode"])]
+    elif command == "enumerate":
+        named = [("bound", flags["bound"])]
+    syntax = flags["syntax"]
+    if syntax == "missing":
+        named = named[:-1]
+    argv = [command, *positional]
+    for name, value in named:
+        # split, a value starting with "-" reads as a flag and argparse rejects it
+        argv += [f"--{name}", str(value)] if syntax == "split" else [f"--{name}={value}"]
     if command == "enumerate":
-        extra = ["--normalize"] * flags["normalize"] + ["--group"] * flags["group"]
-        return [command, first, f"--bound={flags['bound']}", *extra]
-    return [command, first]
+        argv += ["--normalize"] * flags["normalize"] + ["--group"] * flags["group"]
+    if syntax == "unknown":
+        argv.append("--frobnicate")
+    return argv
 
 
 @settings(max_examples=120, deadline=None)
