@@ -6,116 +6,78 @@ combinatorial invariant: validity of characteristic functions, equality
 of points in the canonical quotient model, well-definedness of induced
 maps, straight-line homotopies between them, and equivariant equivalence
 of pairs up to torus automorphism and facet signs.
+
+Names are imported on first use: the table below maps each public name
+to the submodule that defines it, and a module-level __getattr__ (PEP 562)
+imports that submodule when the name is read.  So `import torquo`, and a
+CLI command, load only the submodules they use.
 """
 
-from __future__ import annotations
-
-from .char_pair import (
-    CharacteristicFunction,
-    CharacteristicPair,
-    ModelPoint,
-    Stratum,
-)
-from .classify import (
-    EquivalenceWitness,
-    InvariantSignature,
-    compose_witnesses,
-    enumerate_characteristic,
-    equivalent,
-    invariant_signature,
-    invert_witness,
-    verify_witness,
-    weak_classes,
-)
-from .errors import (
-    ComplexInputError,
-    DimensionError,
-    NoSuchFaceError,
-    PreconditionError,
-    ProblemFileError,
-    SimplicityError,
-    TorquoError,
-)
-from .face_complex import Face, FaceComplex, isomorphisms
-from .lattice import (
-    IntMatrix,
-    Sublattice,
-    TorusPoint,
-    UnimodularMatrix,
-    complete_to_basis,
-    extends_to_basis,
-    invariant_factors,
-    is_primitive,
-    lattice_member,
-    smith_normal_form,
-    subtorus_contains,
-)
-from .morphism import (
-    CompatibilityViolation,
-    Morphism,
-    SkeletalMap,
-    check_compatibility,
-    check_reps_coherence,
-    check_skeletal,
-    compose,
-    identity_morphism,
-    identity_skeletal,
-    induced_map_apply,
-    skeletal_from_facet_map,
-    straight_line_homotopy_apply,
-)
-from .problemfile import ProblemFile, parse_problem, serialize_problem
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharacteristicFunction",
-    "CharacteristicPair",
-    "CompatibilityViolation",
-    "ComplexInputError",
-    "DimensionError",
-    "EquivalenceWitness",
-    "Face",
-    "FaceComplex",
-    "IntMatrix",
-    "InvariantSignature",
-    "ModelPoint",
-    "Morphism",
-    "NoSuchFaceError",
-    "PreconditionError",
-    "ProblemFile",
-    "ProblemFileError",
-    "SimplicityError",
-    "SkeletalMap",
-    "Stratum",
-    "Sublattice",
-    "TorquoError",
-    "TorusPoint",
-    "UnimodularMatrix",
-    "check_compatibility",
-    "check_reps_coherence",
-    "check_skeletal",
-    "complete_to_basis",
-    "compose",
-    "compose_witnesses",
-    "enumerate_characteristic",
-    "equivalent",
-    "extends_to_basis",
-    "identity_morphism",
-    "identity_skeletal",
-    "induced_map_apply",
-    "invariant_factors",
-    "invariant_signature",
-    "invert_witness",
-    "is_primitive",
-    "isomorphisms",
-    "lattice_member",
-    "parse_problem",
-    "serialize_problem",
-    "skeletal_from_facet_map",
-    "smith_normal_form",
-    "straight_line_homotopy_apply",
-    "subtorus_contains",
-    "verify_witness",
-    "weak_classes",
-]
+_EXPORTS = {
+    "CharacteristicFunction": "char_pair",
+    "CharacteristicPair": "char_pair",
+    "ModelPoint": "char_pair",
+    "Stratum": "char_pair",
+    "EquivalenceWitness": "classify",
+    "InvariantSignature": "classify",
+    "compose_witnesses": "classify",
+    "enumerate_characteristic": "classify",
+    "equivalent": "classify",
+    "invariant_signature": "classify",
+    "invert_witness": "classify",
+    "verify_witness": "classify",
+    "weak_classes": "classify",
+    "ComplexInputError": "errors",
+    "DimensionError": "errors",
+    "NoSuchFaceError": "errors",
+    "PreconditionError": "errors",
+    "ProblemFileError": "errors",
+    "SimplicityError": "errors",
+    "TorquoError": "errors",
+    "Face": "face_complex",
+    "FaceComplex": "face_complex",
+    "isomorphisms": "face_complex",
+    "IntMatrix": "lattice",
+    "Sublattice": "lattice",
+    "TorusPoint": "lattice",
+    "UnimodularMatrix": "lattice",
+    "complete_to_basis": "lattice",
+    "extends_to_basis": "lattice",
+    "invariant_factors": "lattice",
+    "is_primitive": "lattice",
+    "lattice_member": "lattice",
+    "smith_normal_form": "lattice",
+    "subtorus_contains": "lattice",
+    "CompatibilityViolation": "morphism",
+    "Morphism": "morphism",
+    "SkeletalMap": "morphism",
+    "check_compatibility": "morphism",
+    "check_reps_coherence": "morphism",
+    "check_skeletal": "morphism",
+    "compose": "morphism",
+    "identity_morphism": "morphism",
+    "identity_skeletal": "morphism",
+    "induced_map_apply": "morphism",
+    "skeletal_from_facet_map": "morphism",
+    "straight_line_homotopy_apply": "morphism",
+    "ProblemFile": "problemfile",
+    "parse_problem": "problemfile",
+    "serialize_problem": "problemfile",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

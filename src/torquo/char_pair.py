@@ -10,9 +10,9 @@ face, component tag) triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._value import Value
 from .errors import DimensionError, NoSuchFaceError, PreconditionError
 from .face_complex import Face, FaceComplex
 from .lattice import (
@@ -25,8 +25,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class CharacteristicFunction:
+class CharacteristicFunction(Value):
     """Assignment of an integer vector in Z^n to each facet 0..m-1.
 
     Construction checks shapes only, in this order: an int rank n >= 1,
@@ -36,24 +35,26 @@ class CharacteristicFunction:
     violation at the singleton face of the offending facet.
     """
 
+    _fields = ("n", "vectors")
     n: int
     vectors: tuple[IntVector, ...]
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise DimensionError(f"rank n must be an integer, got {self.n!r}")
-        if self.n < 1:
+    def __init__(self, n: int, vectors: Iterable[Iterable[int]]) -> None:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise DimensionError(f"rank n must be an integer, got {n!r}")
+        if n < 1:
             raise DimensionError("rank n must be >= 1")
-        vectors = _int_rows(self.vectors)
+        vectors = _int_rows(vectors)
         if not vectors:
             raise DimensionError("characteristic function needs at least one facet")
-        if {*map(len, vectors)} != {self.n}:
-            raise DimensionError(f"every facet vector must have length {self.n}")
+        if {*map(len, vectors)} != {n}:
+            raise DimensionError(f"every facet vector must have length {n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "vectors", vectors)
 
     @classmethod
     def _unchecked(cls, n: int, vectors: tuple[IntVector, ...]) -> "CharacteristicFunction":
-        """The function with these fields, built without __post_init__'s checks.
+        """The function with these fields, built without __init__'s checks.
 
         Only for callers that made the rows themselves: n an int >= 1 and
         vectors a nonempty tuple of tuples of exact ints of length n.
@@ -73,8 +74,7 @@ class CharacteristicFunction:
         return self.vectors[facet]
 
 
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(Value):
     """Point of the canonical model: torus coordinates over a face of X.
 
     The tag names the connected component of the face interior the point
@@ -82,19 +82,31 @@ class ModelPoint:
     bookkeeping that must simply agree between compared points.
     """
 
+    _fields = ("t", "face", "tag")
     t: TorusPoint
     face: Face
-    tag: str = ""
+    tag: str
+
+    def __init__(self, t: TorusPoint, face: Face, tag: str = "") -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "tag", tag)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Value):
     """One orbit-type stratum of the canonical model."""
 
+    _fields = ("face", "codim", "isotropy_rank", "orbit_dim")
     face: Face
     codim: int
     isotropy_rank: int
     orbit_dim: int
+
+    def __init__(self, face: Face, codim: int, isotropy_rank: int, orbit_dim: int) -> None:
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "isotropy_rank", isotropy_rank)
+        object.__setattr__(self, "orbit_dim", orbit_dim)
 
 
 class CharacteristicPair:

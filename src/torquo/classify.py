@@ -20,10 +20,10 @@ forms along every automorphism and looks up each function once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
 
+from ._value import Value
 from .char_pair import CharacteristicFunction, CharacteristicPair
 from .errors import DimensionError, PreconditionError
 from .face_complex import FaceComplex, isomorphisms
@@ -33,24 +33,45 @@ from .lattice import _reduce_to_identity
 MODES = ("strict", "weak")
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(Value):
     """Certificate of equivalence; verifiable by substitution."""
 
+    _fields = ("facet_map", "torus_map", "signs")
     facet_map: tuple[int, ...]
     torus_map: UnimodularMatrix
     signs: tuple[int, ...]
 
+    def __init__(
+        self, facet_map: tuple[int, ...], torus_map: UnimodularMatrix, signs: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "facet_map", facet_map)
+        object.__setattr__(self, "torus_map", torus_map)
+        object.__setattr__(self, "signs", signs)
 
-@dataclass(frozen=True)
-class InvariantSignature:
+
+class InvariantSignature(Value):
     """Counts preserved by every equivalence, as the invariants command reports them."""
 
+    _fields = ("n", "facet_count", "face_counts", "vertex_dets", "fixed_points")
     n: int
     facet_count: int
     face_counts: tuple[int, ...]
     vertex_dets: tuple[int, ...]
     fixed_points: int
+
+    def __init__(
+        self,
+        n: int,
+        facet_count: int,
+        face_counts: tuple[int, ...],
+        vertex_dets: tuple[int, ...],
+        fixed_points: int,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "facet_count", facet_count)
+        object.__setattr__(self, "face_counts", face_counts)
+        object.__setattr__(self, "vertex_dets", vertex_dets)
+        object.__setattr__(self, "fixed_points", fixed_points)
 
 
 def invariant_signature(pair: CharacteristicPair) -> InvariantSignature:
@@ -75,7 +96,12 @@ def invariant_signature(pair: CharacteristicPair) -> InvariantSignature:
 def verify_witness(
     first: CharacteristicPair, second: CharacteristicPair, witness: EquivalenceWitness
 ) -> bool:
-    """Re-check every defining equation of the witness from scratch."""
+    """Re-check every defining equation of the witness from scratch.
+
+    The torus map must be n x n with rows that extend to a basis, which
+    for square rows means determinant +-1; this is decided from the rows
+    themselves, not taken from the UnimodularMatrix type.
+    """
     m = first.complex.m
     if second.complex.m != m or first.n != second.n:
         return False
@@ -87,12 +113,13 @@ def verify_witness(
     )
     if images != [face.facets for face in second.complex.maximal_faces]:
         return False
-    if witness.torus_map.nrows != first.n or witness.torus_map.det() not in (1, -1):
+    sigma = witness.torus_map
+    if not sigma.nrows == sigma.ncols == first.n or not extends_to_basis(sigma.rows):
         return False
     if len(witness.signs) != m or any(s not in (1, -1) for s in witness.signs):
         return False
     for i in range(m):
-        moved = witness.torus_map.mul_vector(first.char.vector(i))
+        moved = sigma.mul_vector(first.char.vector(i))
         expected = tuple(witness.signs[i] * x for x in second.char.vector(perm[i]))
         if moved != expected:
             return False

@@ -25,34 +25,24 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from .char_pair import CharacteristicPair, ModelPoint
-from .classify import (
-    EquivalenceWitness,
-    enumerate_characteristic,
-    equivalent,
-    invariant_signature,
-    weak_classes,
-)
 from .errors import TorquoError
 from .face_complex import Face
 from .lattice import TorusPoint, UnimodularMatrix
-from .morphism import (
-    Morphism,
-    SkeletalMap,
-    check_compatibility,
-    check_reps_coherence,
-    check_skeletal,
-    induced_map_apply,
-    straight_line_homotopy_apply,
-)
 from .problemfile import (
     ProblemFile,
     _decode_json,
     format_rational,
     parse_problem,
 )
+
+# classify and morphism are imported by the handlers that call them, so
+# validate, strata, isotropy and point-eq never load them
+if TYPE_CHECKING:
+    from .classify import EquivalenceWitness
+    from .morphism import Morphism, SkeletalMap
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -149,6 +139,8 @@ def _parse_sigma_flag(text: str, n: int) -> UnimodularMatrix:
 def _load_skeletal(
     path: str, source: CharacteristicPair, target: CharacteristicPair, command: str
 ) -> SkeletalMap:
+    from .morphism import SkeletalMap, check_skeletal
+
     text = _read_text(path)
     try:
         data = _decode_json(text)
@@ -336,6 +328,8 @@ def _checked_morphism(
     args: argparse.Namespace, command: str, src: CharacteristicPair, dst: CharacteristicPair
 ) -> Morphism:
     """Build and fully check the morphism of map-check/homotopy-sample."""
+    from .morphism import Morphism, check_compatibility
+
     _require_valid(src, command)
     _require_valid(dst, command)
     sigma = _parse_sigma_flag(args.sigma, src.n)
@@ -375,6 +369,8 @@ def _cmd_map_check(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_homotopy_sample(args: argparse.Namespace, out) -> int:
+    from .morphism import check_reps_coherence, induced_map_apply, straight_line_homotopy_apply
+
     src_problem = _load_problem(args.source)
     _require_contractible(src_problem, args.source)
     dst_problem = _load_problem(args.target)
@@ -425,6 +421,8 @@ def _cmd_homotopy_sample(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_eq(args: argparse.Namespace, out) -> int:
+    from .classify import equivalent
+
     first_problem = _load_problem(args.first)
     second_problem = _load_problem(args.second)
     _require_contractible(first_problem, args.first)
@@ -460,6 +458,8 @@ def _thread_count() -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
+    from .classify import enumerate_characteristic, weak_classes
+
     problem = _load_problem(args.file)
     complex_ = problem.build_complex()
     if args.bound < 1:
@@ -483,6 +483,8 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace, out) -> int:
+    from .classify import invariant_signature
+
     pair = _load_pair(args.file)
     _require_valid(pair, "invariants")
     sig = invariant_signature(pair)
@@ -594,7 +596,9 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
         _emit(negative.report, out)
         return EXIT_NEGATIVE
     except TorquoError as exc:
-        err.write(f"error: {exc}\n")
+        # a path or flag value may hold a line break; the message stays one line
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        err.write(f"error: {message}\n")
         return EXIT_INPUT
 
 

@@ -11,22 +11,22 @@ facet indices containing them, so codimension equals tuple length.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._value import OrderedValue
 from .errors import ComplexInputError, DimensionError, NoSuchFaceError, SimplicityError
 
 FacetId = int
 
 
-@dataclass(frozen=True, order=True)
-class Face:
+class Face(OrderedValue):
     """A face, encoded by the strictly increasing tuple of facets containing it."""
 
+    _fields = ("facets",)
     facets: tuple[FacetId, ...]
 
-    def __post_init__(self) -> None:
-        facets = tuple(self.facets)
+    def __init__(self, facets: Iterable[FacetId]) -> None:
+        facets = tuple(facets)
         if any(not isinstance(i, int) or isinstance(i, bool) or i < 0 for i in facets):
             raise ComplexInputError(f"facet ids must be nonnegative integers: {facets!r}")
         if any(a >= b for a, b in zip(facets, facets[1:])):

@@ -23,12 +23,12 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .errors import DimensionError, PreconditionError
 
 IntVector = tuple[int, ...]
@@ -71,14 +71,14 @@ def _as_rational(x: object) -> Fraction:
 # matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix, row-major."""
 
+    _fields = ("rows",)
     rows: tuple[IntVector, ...]
 
-    def __post_init__(self) -> None:
-        rows = _int_rows(self.rows)
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        rows = _int_rows(rows)
         if not rows:
             raise DimensionError("matrix needs at least one row")
         width = len(rows[0])
@@ -162,8 +162,8 @@ class IntMatrix:
 class UnimodularMatrix(IntMatrix):
     """Square integer matrix with determinant +1 or -1."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        super().__init__(rows)
         if not self.is_square:
             raise PreconditionError("unimodular matrix must be square")
         # square rows extend to a basis exactly when the determinant is +-1
@@ -183,14 +183,14 @@ class UnimodularMatrix(IntMatrix):
 # torus points
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Value):
     """Point of T^n = R^n / Z^n, coordinates normalized into [0, 1)."""
 
+    _fields = ("coords",)
     coords: RationalVector
 
-    def __post_init__(self) -> None:
-        coords = tuple(_as_rational(x) % 1 for x in self.coords)
+    def __init__(self, coords: Iterable[Fraction | int]) -> None:
+        coords = tuple(_as_rational(x) % 1 for x in coords)
         if not coords:
             raise DimensionError("torus point needs at least one coordinate")
         object.__setattr__(self, "coords", coords)
@@ -230,9 +230,9 @@ def hermite_rows(rows: Iterable[Sequence[int]], ambient: int) -> tuple[IntVector
     """Row-style lower-triangular Hermite basis of the integer row span.
 
     Zero rows are dropped; the result is the unique basis in the convention
-    documented at module top.
+    documented at module top.  Entries are checked as _int_rows checks them.
     """
-    work = [list(_as_int(x) for x in row) for row in rows]
+    work = list(map(list, _int_rows(rows)))
     for row in work:
         if len(row) != ambient:
             raise DimensionError(f"row length {len(row)} does not match ambient {ambient}")
@@ -268,19 +268,20 @@ def hermite_rows(rows: Iterable[Sequence[int]], ambient: int) -> tuple[IntVector
     return tuple(tuple(row) for row in collected)
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Value):
     """Sublattice of Z^ambient, stored by its Hermite row basis."""
 
+    _fields = ("ambient", "basis")
     ambient: int
     basis: tuple[IntVector, ...]
 
-    def __post_init__(self) -> None:
-        if isinstance(self.ambient, bool) or not isinstance(self.ambient, int):
-            raise DimensionError(f"ambient dimension must be an integer, got {self.ambient!r}")
-        if self.ambient < 1:
+    def __init__(self, ambient: int, basis: Iterable[Sequence[int]]) -> None:
+        if isinstance(ambient, bool) or not isinstance(ambient, int):
+            raise DimensionError(f"ambient dimension must be an integer, got {ambient!r}")
+        if ambient < 1:
             raise DimensionError("ambient dimension must be >= 1")
-        object.__setattr__(self, "basis", hermite_rows(self.basis, self.ambient))
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", hermite_rows(basis, ambient))
 
     @property
     def rank(self) -> int:
@@ -414,8 +415,9 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    """Whether the integer vector has coordinate gcd 1."""
-    return math.gcd(*(abs(_as_int(x)) for x in v)) == 1 if len(v) else False
+    """Whether the integer vector has coordinate gcd 1; the empty vector has gcd 0."""
+    (row,) = _int_rows((v,))
+    return math.gcd(*row) == 1
 
 
 def _column_reduce(

@@ -11,10 +11,10 @@ source face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._value import Value
 from .char_pair import CharacteristicPair, ModelPoint
 from .errors import DimensionError, NoSuchFaceError, PreconditionError
 from .face_complex import Face, FaceComplex
@@ -118,21 +118,23 @@ def identity_skeletal(cx: FaceComplex) -> SkeletalMap:
     return SkeletalMap(cx, cx, {face: face for face in cx.faces})
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Value):
     """Torus automorphism plus skeletal map; the raw data of an induced map."""
 
+    _fields = ("torus_map", "face_map")
     torus_map: UnimodularMatrix
     face_map: SkeletalMap
 
-    def __post_init__(self) -> None:
-        n = self.face_map.source.n
-        if self.face_map.target.n != n:
+    def __init__(self, torus_map: UnimodularMatrix, face_map: SkeletalMap) -> None:
+        n = face_map.source.n
+        if face_map.target.n != n:
             raise DimensionError("source and target complexes have different dimensions")
-        if self.torus_map.nrows != n:
+        if torus_map.nrows != n:
             raise DimensionError(
-                f"torus map is {self.torus_map.nrows}x{self.torus_map.ncols}, expected {n}x{n}"
+                f"torus map is {torus_map.nrows}x{torus_map.ncols}, expected {n}x{n}"
             )
+        object.__setattr__(self, "torus_map", torus_map)
+        object.__setattr__(self, "face_map", face_map)
 
 
 def identity_morphism(cx: FaceComplex) -> Morphism:
@@ -154,8 +156,7 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
 # compatibility
 
 
-@dataclass(frozen=True)
-class CompatibilityViolation:
+class CompatibilityViolation(Value):
     """A facet whose circle escapes the image isotropy, with a witness.
 
     The two model points are equal in the source model but have distinct
@@ -163,8 +164,13 @@ class CompatibilityViolation:
     exists.
     """
 
+    _fields = ("facet", "source_points")
     facet: int
     source_points: tuple[ModelPoint, ModelPoint]
+
+    def __init__(self, facet: int, source_points: tuple[ModelPoint, ModelPoint]) -> None:
+        object.__setattr__(self, "facet", facet)
+        object.__setattr__(self, "source_points", source_points)
 
 
 def check_compatibility(

@@ -21,10 +21,10 @@ identical to serialize(x).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+from ._value import Value
 from .char_pair import CharacteristicFunction, CharacteristicPair
 from .errors import ProblemFileError, TorquoError
 from .face_complex import Face, FaceComplex
@@ -33,16 +33,32 @@ from .lattice import TorusPoint
 RepsTable = tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(Value):
     """Parsed and canonicalized problem document."""
 
+    _fields = ("n", "facet_names", "vertices", "lambda_rows", "contractible_faces", "reps")
     n: int
     facet_names: tuple[str, ...] | None
     vertices: tuple[tuple[int, ...], ...]
     lambda_rows: tuple[tuple[int, ...], ...] | None
     contractible_faces: bool
-    reps: RepsTable | None = None
+    reps: RepsTable | None
+
+    def __init__(
+        self,
+        n: int,
+        facet_names: tuple[str, ...] | None,
+        vertices: tuple[tuple[int, ...], ...],
+        lambda_rows: tuple[tuple[int, ...], ...] | None,
+        contractible_faces: bool,
+        reps: RepsTable | None = None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "facet_names", facet_names)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "lambda_rows", lambda_rows)
+        object.__setattr__(self, "contractible_faces", contractible_faces)
+        object.__setattr__(self, "reps", reps)
 
     @property
     def facet_count(self) -> int:

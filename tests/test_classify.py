@@ -256,6 +256,23 @@ def test_verify_rejects_facet_count_mismatch():
     assert not verify_witness(triangle_pair(), hirzebruch_pair(0), good)
 
 
+def test_verify_decides_unimodularity_from_the_rows():
+    # every equation holds for sigma = 2I onto the doubled (invalid) vectors,
+    # so only the unimodularity check can reject these witnesses
+    first = triangle_pair()
+    doubled = CharacteristicPair(
+        first.complex, CharacteristicFunction(2, ((2, 0), (0, 2), (2, 2)))
+    )
+    twice = IntMatrix(((2, 0), (0, 2)))
+    assert not verify_witness(first, doubled, EquivalenceWitness((0, 1, 2), twice, (1, 1, 1)))
+    # a torus map that is not n x n is rejected, not multiplied
+    for rows in (((1, 0, 0), (0, 1, 0)), ((1, 0),)):
+        witness = EquivalenceWitness((0, 1, 2), IntMatrix(rows), (1, 1, 1))
+        assert not verify_witness(first, first, witness)
+    identity = EquivalenceWitness((0, 1, 2), IntMatrix.identity(2), (1, 1, 1))
+    assert verify_witness(first, first, identity)
+
+
 # ---------------------------------------------------------------------------
 # invariant signatures
 

@@ -780,6 +780,29 @@ def test_usage_errors_are_one_line_input_errors(argv, message, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["validate", path("triangle.json"), "a\nb"],
+            "error: unrecognized arguments: a\\nb\n",
+        ),
+        (
+            ["validate", "no\nfile.json"],
+            "error: no\\nfile.json: No such file or directory\n",
+        ),
+        (
+            ["isotropy", path("triangle.json"), "--face", "0\r\n1"],
+            "error: cannot read face '0\\r\\n1'\n",
+        ),
+    ],
+    ids=["stray-argument", "missing-path", "face-flag"],
+)
+def test_line_breaks_in_messages_are_escaped(argv, expected):
+    # the one-line rule for exit 1 holds whatever the command line carries
+    assert invoke(*argv) == (1, "", expected)
+
+
 def test_help_exits_zero(capsys):
     assert run(["enumerate", "--help"], io.StringIO(), io.StringIO()) == 0
     assert capsys.readouterr().out.startswith("usage: torquo enumerate")

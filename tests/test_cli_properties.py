@@ -8,10 +8,12 @@ UTF-8 or not JSON.  Flags are drawn from well-formed values and from short
 junk strings, and the second file of a two-file command is often the first
 again.  Some draws break the flag syntax itself so that argparse rejects
 it: a --bound that is not an int, a value starting with "-" given as a
-separate argument, a missing required flag, an unknown flag.  Whatever the
-input, run() returns 0, 1 or 2 without raising; stdout is JSON on exits 0
-and 2 (one report, or the JSON lines of enumerate) with nothing on stderr,
-and stderr is exactly one line on exit 1.
+separate argument, a missing required flag, an unknown flag, a stray
+argument.  Junk flag values, the stray argument and the file paths may
+hold line breaks.  Whatever the input, run() returns 0, 1 or 2 without
+raising; stdout is JSON on exits 0 and 2 (one report, or the JSON lines of
+enumerate) with nothing on stderr, and stderr is exactly one line, with no
+carriage return, on exit 1.
 Explicit examples pin the three decode failures (not UTF-8, nested too
 deeply, an over-long integer) for both file kinds, and one homotopy-sample
 that succeeds.
@@ -133,7 +135,7 @@ def _flag(draw, *good: str):
     """One of the well-formed values, or in one case of four a short junk string."""
     if draw(st.integers(0, 3)):
         return draw(st.sampled_from(good))
-    return draw(st.text("0123456789/,;@#-x ", max_size=10))
+    return draw(st.text("0123456789/,;@#-x \n\r", max_size=10))
 
 
 POINTS = _flag("0,0@-", "1/2,0@0", "1/3,1/4@0#a", "0@0", "1/2,1/3,0@1,2", "0,0@0,1,2")
@@ -149,7 +151,10 @@ FLAGS = st.fixed_dictionaries(
         "mode": st.sampled_from(["weak", "strict"]),
         "normalize": st.booleans(),
         "group": st.booleans(),
-        "syntax": st.sampled_from(["joined", "joined", "joined", "split", "missing", "unknown"]),
+        "syntax": st.sampled_from(
+            ["joined", "joined", "joined", "split", "missing", "unknown", "stray"]
+        ),
+        "path_break": st.sampled_from(["", "", "", "\n", "\r\n"]),
     }
 )
 
@@ -168,6 +173,7 @@ DEFAULT_FLAGS = {
     "normalize": False,
     "group": False,
     "syntax": "joined",
+    "path_break": "",
 }
 TRIANGLE = (DATA / "triangle.json").read_bytes()
 IDENTITY3 = (DATA / "map_identity3.json").read_bytes()
@@ -206,6 +212,8 @@ def _argv(command: str, paths: dict[str, str], flags: dict) -> list[str]:
         argv += ["--normalize"] * flags["normalize"] + ["--group"] * flags["group"]
     if syntax == "unknown":
         argv.append("--frobnicate")
+    elif syntax == "stray":
+        argv.append("a\nb")
     return argv
 
 
@@ -234,9 +242,10 @@ def _argv(command: str, paths: dict[str, str], flags: dict) -> list[str]:
 def test_run_never_crashes(workdir, command, first, second, mapfile, flags):
     paths = {}
     for name, data in (("first", first), ("second", second), ("phi", mapfile)):
-        paths[name] = str(workdir / f"{name}.json")
+        file = workdir / f"{name}{flags['path_break']}.json"
+        paths[name] = str(file)
         if data is not None:
-            (workdir / f"{name}.json").write_bytes(data)
+            file.write_bytes(data)
     if second is None:
         paths["second"] = paths["first"]
     out, err = io.StringIO(), io.StringIO()
@@ -244,6 +253,7 @@ def test_run_never_crashes(workdir, command, first, second, mapfile, flags):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert "\r" not in err.getvalue()
         return
     assert err.getvalue() == ""
     if command == "enumerate":

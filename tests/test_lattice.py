@@ -473,3 +473,27 @@ def test_is_primitive():
     assert not is_primitive((2, 4))
     assert not is_primitive((0, 0))
     assert not is_primitive((2,))
+    assert not is_primitive(())
+
+
+def test_entry_checks_keep_their_messages():
+    # entries are checked once at the boundary; the first bad one in
+    # row-major order is reported with the per-entry message
+    for bad in (True, False, 1.0, 0.5, Fraction(1)):
+        message = f"expected an integer entry, got {bad!r}"
+        with pytest.raises(DimensionError) as info:
+            hermite_rows([[1, 0], [0, bad]], 2)
+        assert str(info.value) == message
+        with pytest.raises(DimensionError) as info:
+            is_primitive((3, bad))
+        assert str(info.value) == message
+        with pytest.raises(DimensionError) as info:
+            Sublattice(2, [[bad, 1]])
+        assert str(info.value) == message
+    with pytest.raises(DimensionError) as info:
+        hermite_rows([[1, 2.0], [True, 0]], 2)
+    assert str(info.value) == "expected an integer entry, got 2.0"
+    # shapes are checked after every entry, as before
+    with pytest.raises(DimensionError) as info:
+        hermite_rows([[1, 0], [1]], 2)
+    assert str(info.value) == "row length 1 does not match ambient 2"

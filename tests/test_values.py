@@ -1,0 +1,160 @@
+"""The value classes: construction, equality, hash, repr, order, immutability, pickling."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from torquo.char_pair import CharacteristicFunction, ModelPoint, Stratum
+from torquo.classify import EquivalenceWitness, InvariantSignature
+from torquo.errors import ComplexInputError, DimensionError, PreconditionError
+from torquo.face_complex import Face, FaceComplex
+from torquo.lattice import IntMatrix, Sublattice, TorusPoint, UnimodularMatrix
+from torquo.morphism import CompatibilityViolation, Morphism, identity_skeletal
+from torquo.problemfile import ProblemFile
+
+from conftest import make_triangle
+
+
+FIELDS = {
+    IntMatrix: ("rows",),
+    UnimodularMatrix: ("rows",),
+    TorusPoint: ("coords",),
+    Sublattice: ("ambient", "basis"),
+    Face: ("facets",),
+    CharacteristicFunction: ("n", "vectors"),
+    ModelPoint: ("t", "face", "tag"),
+    Stratum: ("face", "codim", "isotropy_rank", "orbit_dim"),
+    EquivalenceWitness: ("facet_map", "torus_map", "signs"),
+    InvariantSignature: ("n", "facet_count", "face_counts", "vertex_dets", "fixed_points"),
+    Morphism: ("torus_map", "face_map"),
+    CompatibilityViolation: ("facet", "source_points"),
+    ProblemFile: ("n", "facet_names", "vertices", "lambda_rows", "contractible_faces", "reps"),
+}
+
+
+def samples():
+    """One instance of each value class, built with keyword arguments."""
+    face = Face(facets=(0, 1))
+    point = TorusPoint(coords=(Fraction(1, 2), 0))
+    identity = UnimodularMatrix(rows=((1, 0), (0, 1)))
+    return [
+        IntMatrix(rows=((1, 2), (3, 4))),
+        identity,
+        point,
+        Sublattice(ambient=2, basis=((0, 2), (1, 1))),
+        face,
+        CharacteristicFunction(n=2, vectors=((1, 0), (0, 1), (1, 1))),
+        ModelPoint(t=point, face=face),
+        Stratum(face=face, codim=2, isotropy_rank=2, orbit_dim=0),
+        EquivalenceWitness(facet_map=(0, 1, 2), torus_map=identity, signs=(1, 1, 1)),
+        InvariantSignature(
+            n=2, facet_count=3, face_counts=(1, 3, 3), vertex_dets=(1, 1, 1), fixed_points=3
+        ),
+        Morphism(torus_map=identity, face_map=identity_skeletal(make_triangle())),
+        CompatibilityViolation(facet=0, source_points=(ModelPoint(point, face, "a"),) * 2),
+        ProblemFile(
+            n=2, facet_names=None, vertices=((0, 1),), lambda_rows=None, contractible_faces=True
+        ),
+    ]
+
+
+def test_defaults_and_positional_construction():
+    point = TorusPoint((0, 0))
+    assert ModelPoint(point, Face(())).tag == ""
+    assert ModelPoint(point, Face(()), "b") == ModelPoint(t=point, face=Face(()), tag="b")
+    problem = ProblemFile(2, None, ((0, 1),), None, True)
+    assert problem.reps is None
+    assert problem == samples()[-1]
+
+
+@pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
+def test_equality_hash_and_repr_follow_the_field_tuple(value):
+    fields = FIELDS[type(value)]
+    values = tuple(getattr(value, name) for name in fields)
+    twin = copy.copy(value)
+    assert twin is not value and twin == value and not twin != value
+    try:
+        expected = hash(values)
+    except TypeError:
+        # a Morphism holds a SkeletalMap, which compares by value but has no hash
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == expected
+    inner = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values))
+    assert repr(value) == f"{type(value).__name__}({inner})"
+    assert value != values and value != object()
+
+
+@pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_assigned_or_deleted(value):
+    name = FIELDS[type(value)][0]
+    before = getattr(value, name)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(value, name, before)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        value.extra = 1
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(value, name)
+    assert getattr(value, name) is before
+
+
+@pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
+def test_pickle_and_deepcopy_round_trip(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(clone) is type(value)
+        assert clone == value and repr(clone) == repr(value)
+
+
+def test_face_complex_pickles_with_its_faces():
+    cx = make_triangle()
+    clone = pickle.loads(pickle.dumps(cx))
+    assert clone == cx and clone.faces == cx.faces and clone.has_face((0, 1))
+
+
+def test_equality_needs_the_same_class():
+    rows = ((1, 0), (0, 1))
+    assert IntMatrix(rows) != UnimodularMatrix(rows)
+    assert UnimodularMatrix(rows) == UnimodularMatrix(rows)
+    assert len({IntMatrix(rows), UnimodularMatrix(rows)}) == 2
+
+
+def test_faces_order_by_their_facet_tuples():
+    faces = [Face((1, 2)), Face(()), Face((0, 2)), Face((0,))]
+    assert sorted(faces) == [Face(()), Face((0,)), Face((0, 2)), Face((1, 2))]
+    assert Face((0,)) < Face((1,)) <= Face((1,)) and Face((2,)) > Face((1,)) >= Face((1,))
+    with pytest.raises(TypeError):
+        Face((0,)) < (1,)
+    with pytest.raises(TypeError):
+        IntMatrix(((1,),)) < IntMatrix(((2,),))
+
+
+def test_cached_annihilator_leaves_equality_alone():
+    fresh = Sublattice(2, ((1, 0),))
+    used = Sublattice(2, ((1, 0),))
+    assert used._annihilator == ((0, 1),)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert pickle.loads(pickle.dumps(used)) == fresh
+
+
+def test_checks_run_in_the_constructor():
+    with pytest.raises(ComplexInputError, match="facet tuple must be strictly increasing"):
+        Face((1, 0))
+    with pytest.raises(PreconditionError, match="matrix determinant is not"):
+        UnimodularMatrix(((2, 0), (0, 1)))
+    with pytest.raises(DimensionError, match="torus point needs at least one coordinate"):
+        TorusPoint(())
+    with pytest.raises(DimensionError, match="every facet vector must have length 2"):
+        CharacteristicFunction(2, ((1, 0), (1,)))
+    with pytest.raises(DimensionError, match="torus map is 1x1, expected 2x2"):
+        Morphism(UnimodularMatrix(((1,),)), identity_skeletal(make_triangle()))
+    # IntMatrix's checks run before UnimodularMatrix's own
+    with pytest.raises(DimensionError, match="ragged rows in matrix"):
+        UnimodularMatrix(((1, 0), (1,)))
+    with pytest.raises(PreconditionError, match="unimodular matrix must be square"):
+        UnimodularMatrix(((1, 0),))
+    assert FaceComplex(2, 3, [[0, 1], [1, 2], [0, 2]]).faces[0] == Face(())
