@@ -247,21 +247,30 @@ def _collect(
     facet: bit i set means box[i] is still an option.  Facets are assigned
     in index order, each from its domain, with set bits walked in ascending
     order.  Assigning box[i] to a facet narrows the domain of each later
-    codimension-2 neighbour to domain & pairs_with(i), the mask of the box
-    vectors that pass the pair test after box[i] (forward checking), so a
+    codimension-2 neighbour to domain & pairs_with(s), s the signless index
+    of i below, the mask of the box vectors that pass the pair test after
+    box[i] (forward checking), so a
     choice that leaves some neighbour without a vector is dropped before
     the facets in between are tried.  Faces of codimension >= 3 are checked
-    when their last facet is assigned, by an itemgetter built once per call
-    that picks the face's vectors out of the assignment; singleton faces
-    need no check because every option is primitive.
+    when their last facet is assigned; singleton faces need no check
+    because every option is primitive.
 
-    Every face test is answered from a table local to this call, keyed by
-    the face's vectors in facet order, so each distinct tuple reaches
-    extends_to_basis once per call and nothing carries over between calls.
-    pairs_with(i) is built on first use, one table lookup per box vector,
-    and kept for the rest of the call.  Bits are walked in box order, so
+    Rows extend to a basis exactly when they do with any row negated, so
+    every face test is keyed by signless box indices max(i, top - i), top =
+    len(box) - 1.  This needs box closed under negation as well as sorted:
+    negation reverses lex order, so box[top - i] == -box[i] and the
+    signless index is that of the vector with a positive first nonzero
+    entry.  The codimension >= 3 tests are answered from a table local to
+    this call, keyed by the face's signless indices in facet order and read
+    by itemgetters built once per call, so each distinct tuple reaches
+    extends_to_basis once per call up to row signs, and nothing carries
+    over between calls.  pairs_with is cached per signless index s: it
+    tests box[s] against the upper half of the box only and sets bits j
+    and top - j from each answer.  Bits are walked in box order, so
     assignments come out in lexicographic order of their rows.
     """
+    top = len(box) - 1
+    signless = [max(i, top - i) for i in range(len(box))]
     later: list[list[int]] = [[] for _ in range(cx.m)]
     check_at: list[list[itemgetter]] = [[] for _ in range(cx.m)]
     for face in cx.faces:
@@ -270,31 +279,27 @@ def _collect(
         elif face.codim >= 3:
             check_at[face.facets[-1]].append(itemgetter(*face.facets))
 
-    table: dict[tuple[IntVector, ...], bool] = {}
-
-    def extends(rows: tuple[IntVector, ...]) -> bool:
-        answer = table.get(rows)
-        if answer is None:
-            answer = table[rows] = extends_to_basis(rows)
-        return answer
-
+    table: dict[tuple[int, ...], bool] = {}
     masks: dict[int, int] = {}
 
-    def pairs_with(i: int) -> int:
-        mask = masks.get(i)
+    def pairs_with(s: int) -> int:
+        mask = masks.get(s)
         if mask is None:
-            vec = box[i]
-            mask = masks[i] = sum(1 << j for j, w in enumerate(box) if extends((vec, w)))
+            vec = box[s]
+            mask = 0
+            for j in range(len(box) // 2, len(box)):
+                if extends_to_basis((vec, box[j])):
+                    mask |= 1 << j | 1 << (top - j)
+            masks[s] = mask
         return mask
 
     domains = list(domains)
     assign: list[IntVector | None] = [None] * cx.m
+    keys = [0] * cx.m
+    last = cx.m - 1
     results: list[tuple[IntVector, ...]] = []
 
     def walk(facet: int) -> None:
-        if facet == cx.m:
-            results.append(tuple(assign))  # type: ignore[arg-type]
-            return
         saved = [(b, domains[b]) for b in later[facet]]
         rest = domains[facet]
         while rest:
@@ -302,11 +307,19 @@ def _collect(
             rest ^= low
             i = low.bit_length() - 1
             assign[facet] = box[i]
+            s = keys[facet] = signless[i]
             for face in check_at[facet]:
-                if not extends(face(assign)):
+                key = face(keys)
+                answer = table.get(key)
+                if answer is None:
+                    answer = table[key] = extends_to_basis(tuple(box[k] for k in key))
+                if not answer:
                     break
             else:
-                ok = pairs_with(i) if saved else 0
+                if facet == last:
+                    results.append(tuple(assign))  # type: ignore[arg-type]
+                    continue
+                ok = pairs_with(s) if saved else 0
                 for b, domain in saved:
                     narrowed = domain & ok
                     if not narrowed:
@@ -340,15 +353,16 @@ def enumerate_characteristic(
     chunk order.  Each search keeps its own table of face tests (see
     _collect), so no answer is reused across calls.
 
-    The rows come from primitive_box, so they are tuples of exact ints of
+    The rows come from primitive_box, which is lex sorted and closed under
+    negation as _collect requires, so they are tuples of exact ints of
     length n and each function is built without checking its entries again.
 
     bound and jobs must be ints >= 1 (bool is rejected).  jobs > 1 pays for
     starting a process pool, which can cost more than the search: on 2
     cores (Python 3.11, three runs of medians of 5, of 3 on the prism)
-    jobs=2 took 0.019-0.027 s against 0.007-0.008 s for jobs=1 on the
-    square at bound 2, 0.22-0.32 s against 0.32-0.36 s on the cube at
-    bound 2, normalized, and 0.75-0.97 s against 1.18-1.38 s on the prism
+    jobs=2 took 0.018-0.021 s against 0.004-0.005 s for jobs=1 on the
+    square at bound 2, 0.12-0.19 s against 0.08-0.13 s on the cube at
+    bound 2, normalized, and 0.58-0.81 s against 0.75-0.88 s on the prism
     over a hexagon at bound 1, normalized.
     """
     for name, value in (("bound", bound), ("jobs", jobs)):

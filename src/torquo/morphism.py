@@ -89,6 +89,9 @@ class SkeletalMap:
             and self._mapping == other._mapping
         )
 
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, frozenset(self._mapping.items())))
+
     def __repr__(self) -> str:
         return f"SkeletalMap({self.source!r} -> {self.target!r})"
 

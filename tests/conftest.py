@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,13 @@ def make_simplex3() -> FaceComplex:
 def make_cube() -> FaceComplex:
     vertices = [[x, 2 + y, 4 + z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     return FaceComplex(3, 6, vertices)
+
+
+def make_triangle_product() -> FaceComplex:
+    # facets 0-2 bound the first triangle and 3-5 the second; a vertex is two of each
+    sides = list(itertools.combinations(range(3), 2))
+    vertices = [[a, b, 3 + c, 3 + d] for a, b in sides for c, d in sides]
+    return FaceComplex(4, 6, vertices)
 
 
 def triangle_pair() -> CharacteristicPair:

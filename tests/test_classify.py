@@ -39,6 +39,7 @@ from conftest import (
     make_simplex3,
     make_square,
     make_triangle,
+    make_triangle_product,
     random_unimodular,
     random_valid_pair,
     simplex3_pair,
@@ -321,6 +322,16 @@ def test_primitive_box_small():
     assert len(box) == 8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_primitive_box_pairs_each_vector_with_its_negative(n, bound):
+    # the search keys its face tests by max(i, top - i) and relies on this
+    box = primitive_box(n, bound)
+    top = len(box) - 1
+    assert box == sorted(box)
+    assert all(box[top - i] == tuple(-x for x in vec) for i, vec in enumerate(box))
+
+
 def test_triangle_bound_one_normalized():
     cx = make_triangle()
     found = enumerate_characteristic(cx, 1, normalize=True)
@@ -416,6 +427,11 @@ def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
         # chunks that do not divide the box: 16 options as 6/6/4, 26 as 9/9/8
         (make_square, False, 3, 2),
         (make_cube, True, 3, 1),
+        # codim-3 faces whose rows all take free signs
+        (make_simplex3, False, 1, 1),
+        # n = 4: maximal faces of four facets, codim-3 faces inside them
+        (make_triangle_product, True, 1, 1),
+        (make_triangle_product, True, 2, 1),
     ],
     ids=[
         "triangle",
@@ -428,6 +444,9 @@ def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
         "cube-normalized-jobs2",
         "square-bound2-jobs3",
         "cube-normalized-jobs3",
+        "simplex3",
+        "triangle-product-normalized",
+        "triangle-product-normalized-jobs2",
     ],
 )
 def test_enumeration_matches_brute_force_oracle(make, normalize, jobs, bound):
@@ -498,6 +517,11 @@ def test_enumeration_decides_each_face_tuple_once_per_call(monkeypatch):
         assert enumerate_characteristic(cx, 1, normalize=True) == expected
     first, second = calls
     assert first and max(first.values()) == 1
+    # nor is a tuple tested again with some rows negated
+    up_to_sign = collections.Counter(
+        tuple(max(row, tuple(-x for x in row)) for row in rows) for rows in first
+    )
+    assert max(up_to_sign.values()) == 1
     # a second call tests again: no answer is carried over between calls
     assert second == first
 

@@ -129,6 +129,9 @@ def test_skeletal_map_equality():
     assert identity_skeletal(cx) == identity_skeletal(cx)
     collapse = SkeletalMap(cx, cx, {face: Face((0, 1)) for face in cx.faces})
     assert identity_skeletal(cx) != collapse
+    # equal maps hash alike, so a skeletal map or a Morphism can key a dict
+    assert hash(identity_skeletal(cx)) == hash(identity_skeletal(cx))
+    assert len({identity_skeletal(cx), identity_skeletal(cx), collapse}) == 2
 
 
 def test_facet_map_rotation_of_triangle():
