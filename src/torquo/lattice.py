@@ -12,12 +12,20 @@ Conventions:
   last nonzero entry, pivot columns strictly increase downward, pivots are
   positive, and entries below a pivot (in later rows) are reduced into
   [0, pivot);
-* one column reduction (Cohen, Computational Algebraic Number Theory,
-  2.4) serves basis extension, completion, inverses and subtori: for rows
-  R extending to a basis it gives a unimodular V with R @ V = [I | 0],
-  and the last n - k columns of V span the integer vectors orthogonal to R;
-* Smith form, kept for invariant factors: D = U @ M @ V with U, V
-  unimodular and nonnegative diagonal entries in divisibility order.
+* two eliminations, no more:
+  - one column reduction (Cohen, Computational Algebraic Number Theory,
+    2.4) answers basis questions: extension, completion, inverses and
+    subtori.  For rows R extending to a basis it gives a unimodular V with
+    R @ V = [I | 0], and the last n - k columns of V span the integer
+    vectors orthogonal to R;
+  - one Hermite row reduction answers lattice questions: the Hermite
+    basis, the determinant (sign of the row transform times the
+    diagonal), and the Smith form D = U @ M @ V, with U, V unimodular and
+    nonnegative diagonal entries in divisibility order, by alternating it
+    on columns and rows;
+  - they stay apart because the column reduction stops at the first row
+    whose gcd is not 1, which keeps the basis tests of enumeration cheap,
+    while a Hermite basis needs the whole reduction.
 """
 
 from __future__ import annotations
@@ -135,28 +143,12 @@ class IntMatrix(Value):
         return tuple(sum((a * b for a, b in zip(row, v)), start=Fraction(0)) for row in self.rows)
 
     def det(self) -> int:
-        """Determinant by the Bareiss fraction-free elimination."""
+        """Determinant: the transform's sign times the Hermite diagonal, 0 below full rank."""
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        work = [list(row) for row in self.rows]
+        top, sign = _row_reduce(work, ())
+        return 0 if top else sign * math.prod(work[i][i] for i in range(self.nrows))
 
 
 class UnimodularMatrix(IntMatrix):
@@ -226,6 +218,54 @@ class TorusPoint(Value):
 # Hermite form and sublattices
 
 
+def _row_reduce(work: list[list[int]], riders: Sequence[list[list[int]]]) -> tuple[int, int]:
+    """Bring the rows of work to Hermite form in place; return (top, sign).
+
+    Columns are cleared right to left by Euclid steps among the rows that
+    hold no pivot yet.  Each pivot row moves to the bottom of those rows
+    and reduces the entries below its pivot into [0, pivot), so the pivot
+    rows fill work[top:] in the module's convention and work[:top] is
+    zero.  Among equal entries the Euclid base is the row nearest the
+    bottom, so a bottom row already reduced to its pivot stays put; that
+    keeps the alternation in smith_normal_form finite.  Each rider has one
+    row per row of work and takes the same row steps; sign is the
+    determinant of the row transform, -1 per swap and per negation.
+    """
+    every = (work, *riders)
+    top, sign = len(work), 1
+    for col in reversed(range(len(work[0]))):
+        live = [i for i in reversed(range(top)) if work[i][col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda i: abs(work[i][col]))
+            base, *rest = live
+            pivot = work[base][col]
+            for i in rest:
+                q = work[i][col] // pivot
+                for m in every:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[base])]
+            live = [i for i in live if work[i][col]]
+        top -= 1
+        (i,) = live
+        if i != top:
+            sign = -sign
+            for m in every:
+                m[i], m[top] = m[top], m[i]
+        if work[top][col] < 0:
+            sign = -sign
+            for m in every:
+                m[top] = [-a for a in m[top]]
+        # later pivots touch only columns left of col, so this stays reduced
+        pivot = work[top][col]
+        for j in range(top + 1, len(work)):
+            q = work[j][col] // pivot
+            if q:
+                for m in every:
+                    m[j] = [a - q * b for a, b in zip(m[j], m[top])]
+    return top, sign
+
+
 def hermite_rows(rows: Iterable[Sequence[int]], ambient: int) -> tuple[IntVector, ...]:
     """Row-style lower-triangular Hermite basis of the integer row span.
 
@@ -236,36 +276,10 @@ def hermite_rows(rows: Iterable[Sequence[int]], ambient: int) -> tuple[IntVector
     for row in work:
         if len(row) != ambient:
             raise DimensionError(f"row length {len(row)} does not match ambient {ambient}")
-    collected: list[list[int]] = []
-    pivot_cols: list[int] = []
-    for col in reversed(range(ambient)):
-        live = [i for i, row in enumerate(work) if row[col] != 0]
-        if not live:
-            continue
-        # Euclid on the column until one nonzero entry remains
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(work[i][col]))
-            base = work[live[0]]
-            for i in live[1:]:
-                q = work[i][col] // base[col]
-                work[i] = [a - q * b for a, b in zip(work[i], base)]
-            live = [i for i in live if work[i][col] != 0]
-        pivot_row = work.pop(live[0])
-        if pivot_row[col] < 0:
-            pivot_row = [-a for a in pivot_row]
-        collected.append(pivot_row)
-        pivot_cols.append(col)
-    collected.reverse()
-    pivot_cols.reverse()
-    # reduce entries below each pivot into [0, pivot), rightmost pivot first
-    for k in reversed(range(len(collected))):
-        col = pivot_cols[k]
-        pivot = collected[k][col]
-        for j in range(k + 1, len(collected)):
-            q = collected[j][col] // pivot
-            if q:
-                collected[j] = [a - q * b for a, b in zip(collected[j], collected[k])]
-    return tuple(tuple(row) for row in collected)
+    if not work:
+        return ()
+    top, _ = _row_reduce(work, ())
+    return tuple(map(tuple, work[top:]))
 
 
 class Sublattice(Value):
@@ -320,88 +334,49 @@ class Sublattice(Value):
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, UnimodularMatrix, UnimodularMatrix]:
     """Return (D, U, V) with D = U @ m @ V diagonal.
 
-    Diagonal entries are nonnegative and each divides the next.
+    Diagonal entries are nonnegative and each divides the next.  Hermite
+    reductions alternate on the columns, riding on V^T, and on the rows,
+    riding on U, until no row holds two nonzeros (Kannan and Bachem, SIAM
+    J. Comput. 8, 1979).  Those entries move to the leading diagonal, and
+    each out-of-order pair (a, b) becomes (gcd, lcm) by one 2 x 2 row step
+    and one 2 x 2 column step.
     """
     nr, nc = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_op(i: int, k: int, q: int) -> None:  # row i -= q * row k
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def col_op(j: int, k: int, q: int) -> None:  # col j -= q * col k
-        for row in a:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    def swap_rows(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def min_entry(s: int) -> tuple[int, int] | None:
-        best: tuple[int, int] | None = None
-        for i in range(s, nr):
-            for j in range(s, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    for s in range(min(nr, nc)):
-        while True:
-            pos = min_entry(s)
-            if pos is None:
-                break
-            swap_rows(s, pos[0])
-            swap_cols(s, pos[1])
-            reduced = False
-            for i in range(s + 1, nr):
-                if a[i][s] != 0:
-                    row_op(i, s, a[i][s] // a[s][s])
-                    reduced = True
-            for j in range(s + 1, nc):
-                if a[s][j] != 0:
-                    col_op(j, s, a[s][j] // a[s][s])
-                    reduced = True
-            # remainders may survive; take another pass with a smaller pivot
-            if reduced and (
-                any(a[i][s] for i in range(s + 1, nr)) or any(a[s][j] for j in range(s + 1, nc))
-            ):
-                continue
-            if a[s][s] < 0:
-                negate_row(s)
-            offender = next(
-                (
-                    (i, j)
-                    for i in range(s + 1, nr)
-                    for j in range(s + 1, nc)
-                    if a[i][j] % a[s][s]
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            # fold the offending row in so the pivot can shrink to the gcd
-            row_op(s, offender[0], -1)
-        if all(a[i][j] == 0 for i in range(s, nr) for j in range(s, nc)):
+    vt = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    while True:
+        at = [list(col) for col in zip(*a)]
+        _row_reduce(at, (vt,))
+        a = [list(row) for row in zip(*at)]
+        top, _ = _row_reduce(a, (u,))
+        if all(sum(map(bool, row)) < 2 for row in a):
             break
-
+    cols = [next(j for j, x in enumerate(row) if x) for row in a[top:]]
+    d = [row[j] for row, j in zip(a[top:], cols)]
+    u = u[top:] + u[:top]
+    vt = [vt[j] for j in cols] + [row for j, row in enumerate(vt) if j not in cols]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                # rows (x, y; -q, p) and columns (1, -y q; 1, x p), both of
+                # determinant x p + y q = 1, turn diag(d[i], d[j]) into (g, lcm)
+                g = math.gcd(d[i], d[j])
+                p, q = d[i] // g, d[j] // g
+                x = pow(p, -1, q)
+                y = (1 - x * p) // q
+                ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
+                u[i] = [x * s + y * t for s, t in zip(ui, uj)]
+                u[j] = [p * t - q * s for s, t in zip(ui, uj)]
+                vt[i] = [s + t for s, t in zip(vi, vj)]
+                vt[j] = [x * p * t - y * q * s for s, t in zip(vi, vj)]
+                d[i], d[j] = g, d[i] * q
     return (
-        IntMatrix(tuple(tuple(row) for row in a)),
-        UnimodularMatrix(tuple(tuple(row) for row in u)),
-        UnimodularMatrix(tuple(tuple(row) for row in v)),
+        IntMatrix(
+            tuple(tuple(d[i] if i == j < len(d) else 0 for j in range(nc)) for i in range(nr))
+        ),
+        UnimodularMatrix(tuple(map(tuple, u))),
+        UnimodularMatrix(tuple(zip(*vt))),
     )
 
 

@@ -186,6 +186,36 @@ def test_snf_worked_examples():
     assert invariant_factors(IntMatrix([[6]])) == (6,)
 
 
+def test_snf_det_and_factors_beyond_the_strategy_limits():
+    # shapes up to 6 x 6 and entries up to 10^6, with zero and repeated
+    # rows, checked against the cofactor and minor oracles where they are cheap
+    rng = random.Random(13)
+    for case in range(150):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice((2, 10**6))
+        rows = [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and case % 3 == 0:
+            rows[rng.randrange(nr)] = [0] * nc
+        if nr > 1 and case % 3 == 1:
+            rows[rng.randrange(nr)] = list(rows[rng.randrange(nr)])
+        m = IntMatrix(rows)
+        d, u, v = smith_normal_form(m)
+        assert isinstance(u, UnimodularMatrix) and isinstance(v, UnimodularMatrix)
+        assert (u @ m @ v).rows == d.rows, rows
+        factors = [d.rows[i][i] for i in range(min(nr, nc))]
+        assert all(d.rows[i][j] == 0 for i in range(nr) for j in range(nc) if i != j)
+        assert all(f >= 0 for f in factors)
+        for a, b in zip(factors, factors[1:]):
+            assert b % a == 0 if a else b == 0
+        if max(nr, nc) <= 4:
+            product = 1
+            for k, factor in enumerate(invariant_factors(m), start=1):
+                product *= factor
+                assert product == minor_gcd(rows, k), rows
+        if nr == nc <= 5:
+            assert m.det() == cofactor_det(rows), rows
+
+
 # ---------------------------------------------------------------------------
 # Hermite form
 
@@ -210,6 +240,23 @@ def test_hermite_idempotent_and_stable_under_row_shuffles(rows):
     assert hermite_rows(list(reversed(rows)), n) == first
     doubled = rows + [[2 * x for x in rows[0]]]
     assert hermite_rows(doubled, n) == first
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_hermite_meets_the_convention_and_spans_the_input(rows):
+    n = len(rows[0])
+    basis = hermite_rows(rows, n)
+    pivots = []
+    for row in basis:
+        col = max(j for j in range(n) if row[j])
+        assert row[col] > 0
+        pivots.append(col)
+    assert pivots == sorted(set(pivots))
+    for k, col in enumerate(pivots):
+        assert all(0 <= row[col] < basis[k][col] for row in basis[k + 1 :])
+    assert all(member_oracle(row, rows) for row in basis)
+    assert all(member_oracle(row, basis) for row in rows)
 
 
 def test_hermite_preserves_membership():
