@@ -53,16 +53,24 @@ class CharacteristicFunction(Value):
         object.__setattr__(self, "vectors", vectors)
 
     @classmethod
-    def _unchecked(cls, n: int, vectors: tuple[IntVector, ...]) -> "CharacteristicFunction":
-        """The function with these fields, built without __init__'s checks.
+    def _unchecked(
+        cls, n: int, rows_list: Iterable[tuple[IntVector, ...]]
+    ) -> list["CharacteristicFunction"]:
+        """One function per entry of rows_list, built without __init__'s checks.
 
         Only for callers that made the rows themselves: n an int >= 1 and
-        vectors a nonempty tuple of tuples of exact ints of length n.
+        each entry a nonempty tuple of tuples of exact ints of length n.
+        The fields are stored as __init__ stores them, with object.__new__
+        and object.__setattr__ bound once for the whole list.
         """
-        func = object.__new__(cls)
-        object.__setattr__(func, "n", n)
-        object.__setattr__(func, "vectors", vectors)
-        return func
+        new, store = object.__new__, object.__setattr__
+        functions = []
+        for vectors in rows_list:
+            func = new(cls)
+            store(func, "n", n)
+            store(func, "vectors", vectors)
+            functions.append(func)
+        return functions
 
     @property
     def facet_count(self) -> int:

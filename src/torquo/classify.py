@@ -246,92 +246,108 @@ def _collect(
     box is the lex-sorted option list and domains holds one bitset per
     facet: bit i set means box[i] is still an option.  Facets are assigned
     in index order, each from its domain, with set bits walked in ascending
-    order.  Assigning box[i] to a facet narrows the domain of each later
-    codimension-2 neighbour to domain & pairs_with(s), s the signless index
-    of i below, the mask of the box vectors that pass the pair test after
-    box[i] (forward checking), so a
-    choice that leaves some neighbour without a vector is dropped before
-    the facets in between are tried.  Faces of codimension >= 3 are checked
-    when their last facet is assigned; singleton faces need no check
-    because every option is primitive.
+    order, so assignments come out in lexicographic order of their rows.
+
+    Every face F = (f_1 < ... < f_k) with k >= 2 is checked by one rule
+    (forward checking): when f_(k-1) is assigned, the domain of f_k is
+    ANDed with the mask of the bits j whose box[j] completes the rows of
+    f_1..f_(k-1) to rows that extend to a basis.  An option that leaves
+    some target without a vector is dropped before the facets in between
+    are tried, and the last facet needs no test: every bit that survives
+    in its domain is a result.  Singleton faces need no check because
+    every option is primitive.  Several faces can narrow one target, so
+    the targets of a facet are restored before its next option.  A facet
+    whose domain holds one bit (a pinned one) counts as assigned before
+    the search, so a face whose earlier facets are all pinned narrows its
+    target once, up front; later facets then test fewer bits.
 
     Rows extend to a basis exactly when they do with any row negated, so
-    every face test is keyed by signless box indices max(i, top - i), top =
-    len(box) - 1.  This needs box closed under negation as well as sorted:
-    negation reverses lex order, so box[top - i] == -box[i] and the
-    signless index is that of the vector with a positive first nonzero
-    entry.  The codimension >= 3 tests are answered from a table local to
-    this call, keyed by the face's signless indices in facet order and read
-    by itemgetters built once per call, so each distinct tuple reaches
-    extends_to_basis once per call up to row signs, and nothing carries
-    over between calls.  pairs_with is cached per signless index s: it
-    tests box[s] against the upper half of the box only and sets bits j
-    and top - j from each answer.  Bits are walked in box order, so
-    assignments come out in lexicographic order of their rows.
+    masks are keyed by the prefix's signless box indices max(i, top - i),
+    top = len(box) - 1; a pair's key is (s,).  This needs box closed under
+    negation as well as sorted: negation reverses lex order, so
+    box[top - i] == -box[i].  A mask is local to this call and filled
+    lazily, only for the bits of the target's current domain that it has
+    not tested yet, and each extends_to_basis answer sets bits j and
+    top - j.  So each distinct tuple reaches extends_to_basis at most once
+    per call up to row signs, and nothing carries over between calls.
     """
     top = len(box) - 1
     signless = [max(i, top - i) for i in range(len(box))]
-    later: list[list[int]] = [[] for _ in range(cx.m)]
-    check_at: list[list[itemgetter]] = [[] for _ in range(cx.m)]
-    for face in cx.faces:
-        if face.codim == 2:
-            later[face.facets[0]].append(face.facets[1])
-        elif face.codim >= 3:
-            check_at[face.facets[-1]].append(itemgetter(*face.facets))
-
-    table: dict[tuple[int, ...], bool] = {}
-    masks: dict[int, int] = {}
-
-    def pairs_with(s: int) -> int:
-        mask = masks.get(s)
-        if mask is None:
-            vec = box[s]
-            mask = 0
-            for j in range(len(box) // 2, len(box)):
-                if extends_to_basis((vec, box[j])):
-                    mask |= 1 << j | 1 << (top - j)
-            masks[s] = mask
-        return mask
-
     domains = list(domains)
-    assign: list[IntVector | None] = [None] * cx.m
-    keys = [0] * cx.m
+    pinned = [domain.bit_count() == 1 for domain in domains]
+    # final for pinned facets; the others' keys are set as they are assigned
+    keys = [signless[domain.bit_length() - 1] for domain in domains]
+    # faces whose earlier facets are all pinned narrow before the search;
+    # the others at their second-to-last facet, via a getter of their keys
+    # (None for a pair, whose key is that facet's alone)
+    early: list[tuple[tuple[int, ...], int]] = []
+    duties: list[list[tuple[itemgetter | None, int]]] = [[] for _ in range(cx.m)]
+    for face in cx.faces:
+        if face.codim >= 2:
+            *prefix, target = face.facets
+            if all(pinned[f] for f in prefix):
+                early.append((tuple(keys[f] for f in prefix), target))
+            else:
+                getter = itemgetter(*prefix) if len(prefix) > 1 else None
+                duties[prefix[-1]].append((getter, target))
+    targets = [sorted({target for _, target in jobs}) for jobs in duties]
+
+    # key -> [bits that complete the prefix, bits not yet tested]
+    masks: dict[tuple[int, ...], list[int]] = {}
+    every_bit = (1 << len(box)) - 1
+
+    def narrow(key: tuple[int, ...], target: int) -> int:
+        entry = masks.get(key)
+        if entry is None:
+            entry = masks[key] = [0, every_bit]
+        domain = domains[target]
+        need = domain & entry[1]
+        if need:
+            rows = tuple(box[k] for k in key)
+            passing, untested = entry
+            while need:
+                j = (need & -need).bit_length() - 1
+                bits = 1 << j | 1 << (top - j)
+                need &= ~bits
+                untested &= ~bits
+                if extends_to_basis(rows + (box[j],)):
+                    passing |= bits
+            entry[0], entry[1] = passing, untested
+        domains[target] = domain & entry[0]
+        return domains[target]
+
+    assign: list[IntVector] = [()] * cx.m
     last = cx.m - 1
     results: list[tuple[IntVector, ...]] = []
 
     def walk(facet: int) -> None:
-        saved = [(b, domains[b]) for b in later[facet]]
         rest = domains[facet]
+        if facet == last:
+            head = tuple(assign[:last])
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                results.append(head + (box[low.bit_length() - 1],))
+            return
+        jobs = duties[facet]
+        saved = [(b, domains[b]) for b in targets[facet]]
         while rest:
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
             assign[facet] = box[i]
             s = keys[facet] = signless[i]
-            for face in check_at[facet]:
-                key = face(keys)
-                answer = table.get(key)
-                if answer is None:
-                    answer = table[key] = extends_to_basis(tuple(box[k] for k in key))
-                if not answer:
+            pair_key = (s,)
+            for getter, target in jobs:
+                if not narrow(getter(keys) if getter else pair_key, target):
                     break
             else:
-                if facet == last:
-                    results.append(tuple(assign))  # type: ignore[arg-type]
-                    continue
-                ok = pairs_with(s) if saved else 0
-                for b, domain in saved:
-                    narrowed = domain & ok
-                    if not narrowed:
-                        break
-                    domains[b] = narrowed
-                else:
-                    walk(facet + 1)
-        for b, domain in saved:
-            domains[b] = domain
-        assign[facet] = None
+                walk(facet + 1)
+            for b, domain in saved:
+                domains[b] = domain
 
-    walk(0)
+    if all(narrow(key, target) for key, target in early):
+        walk(0)
     return results
 
 
@@ -350,20 +366,23 @@ def enumerate_characteristic(
     assignments in that order, and with jobs > 1 the domain of the first
     unpinned facet is cut into contiguous chunks of box indices, each
     searched by the same _collect in a worker, whose results are joined in
-    chunk order.  Each search keeps its own table of face tests (see
-    _collect), so no answer is reused across calls.
+    chunk order.  Each search keeps its own face masks (see _collect), so
+    no answer is reused across calls.
 
     The rows come from primitive_box, which is lex sorted and closed under
     negation as _collect requires, so they are tuples of exact ints of
-    length n and each function is built without checking its entries again.
+    length n, and the functions are built in one batch without checking
+    their entries again.
 
     bound and jobs must be ints >= 1 (bool is rejected).  jobs > 1 pays for
     starting a process pool, which can cost more than the search: on 2
-    cores (Python 3.11, three runs of medians of 5, of 3 on the prism)
-    jobs=2 took 0.018-0.021 s against 0.004-0.005 s for jobs=1 on the
-    square at bound 2, 0.12-0.19 s against 0.08-0.13 s on the cube at
-    bound 2, normalized, and 0.58-0.81 s against 0.75-0.88 s on the prism
-    over a hexagon at bound 1, normalized.
+    cores (Python 3.11, three runs of medians of 5, of 3 on the last two)
+    jobs=2 took 0.014-0.063 s against 0.004-0.009 s for jobs=1 on the
+    square at bound 2, 0.11-0.20 s against 0.04-0.12 s on the cube at
+    bound 2, normalized, 0.10-0.14 s against 0.04-0.06 s on the 3-simplex
+    at bound 1, 0.49-0.53 s against 0.49-0.51 s on the prism over a
+    hexagon at bound 1, normalized, and 1.07-1.12 s against 1.19-1.22 s
+    on the 4-cube at bound 1, normalized.
     """
     for name, value in (("bound", bound), ("jobs", jobs)):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -392,7 +411,7 @@ def enumerate_characteristic(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_collect, [cx] * count, [box] * count, chunk_domains))
         rows_list = [rows for part in parts for rows in part]
-    return [CharacteristicFunction._unchecked(cx.n, rows) for rows in rows_list]
+    return CharacteristicFunction._unchecked(cx.n, rows_list)
 
 
 def weak_classes(

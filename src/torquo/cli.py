@@ -511,10 +511,19 @@ class _Parser(argparse.ArgumentParser):
 
     run() then reports them like every other input error: one line on its
     err stream and exit 1.  Subparsers are built with the same class.
+
+    No option starts with a dash and a digit, so such a word is a value,
+    as argparse already reads plain negative numbers: --sigma "-1,0;0,1"
+    and --point "-1/3,1/4@0" read as their --flag=value forms do.
     """
 
     def error(self, message: str) -> NoReturn:
         raise InputError(message)
+
+    def _parse_optional(self, arg_string: str) -> Any:
+        if arg_string[:1] == "-" and arg_string[1:2].isdecimal():
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -47,6 +47,19 @@ def make_cube() -> FaceComplex:
     return FaceComplex(3, 6, vertices)
 
 
+def make_prism(k: int) -> FaceComplex:
+    # facets 0..k-1 are the sides, k the bottom and k + 1 the top
+    vertices = [[i, (i + 1) % k, k + t] for i in range(k) for t in (0, 1)]
+    return FaceComplex(3, k + 2, vertices)
+
+
+def relabeled_complex(cx: FaceComplex, rng: random.Random) -> FaceComplex:
+    """The complex with its facets renamed by a random permutation."""
+    perm = list(range(cx.m))
+    rng.shuffle(perm)
+    return FaceComplex(cx.n, cx.m, [[perm[i] for i in face.facets] for face in cx.maximal_faces])
+
+
 def make_triangle_product() -> FaceComplex:
     # facets 0-2 bound the first triangle and 3-5 the second; a vertex is two of each
     sides = list(itertools.combinations(range(3), 2))

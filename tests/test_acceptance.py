@@ -242,9 +242,9 @@ def _invoke(*argv: str) -> int:
 
 def test_c8_cli_round_trips_and_exit_codes():
     corpus = sorted(p.name for p in DATA.glob("*.json"))
-    assert len(corpus) == 16
+    assert len(corpus) == 17
     problem_files = [name for name in corpus if not name.startswith("map_")]
-    assert len(problem_files) == 12
+    assert len(problem_files) == 13
 
     round_trips = 0
     for name in problem_files:
@@ -255,9 +255,10 @@ def test_c8_cli_round_trips_and_exit_codes():
             continue
         assert serialize_problem(problem) == text
         round_trips += 1
-    assert round_trips == 9
+    assert round_trips == 10
 
     expected_validate = {
+        "cube.json": 1,
         "malformed.json": 1,
         "missing_n.json": 1,
         "not_simple.json": 1,
@@ -283,4 +284,4 @@ def test_c8_cli_round_trips_and_exit_codes():
     assert _invoke("eq", str(DATA / "triangle.json"), str(DATA / "malformed.json")) == 1
     print(f"C8 PASS: {round_trips} parseable corpus files round-trip byte "
           f"identical; validate/eq/point-eq exit codes 0, 1, and 2 all "
-          f"exercised over the 12-file corpus")
+          f"exercised over the 13-file corpus")

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import collections
 import functools
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -36,12 +38,14 @@ from conftest import (
     hirzebruch_pair,
     make_cube,
     make_pentagon,
+    make_prism,
     make_simplex3,
     make_square,
     make_triangle,
     make_triangle_product,
     random_unimodular,
     random_valid_pair,
+    relabeled_complex,
     simplex3_pair,
     triangle_pair,
 )
@@ -455,6 +459,43 @@ def test_enumeration_matches_brute_force_oracle(make, normalize, jobs, bound):
     cx = make()
     found = enumerate_characteristic(cx, bound, normalize=normalize, jobs=jobs)
     assert [f.vectors for f in found] == brute_force_enumeration(cx, bound, normalize)
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [
+        pytest.param(make, seed, id=f"{name}-normalized-seed{seed}")
+        for make, name, seeds in (
+            (make_cube, "cube", range(1, 5)),
+            (make_triangle_product, "triangle-product", range(1, 4)),
+        )
+        for seed in seeds
+    ],
+)
+def test_enumeration_of_relabeled_complexes_matches_brute_force(make, seed):
+    # renaming facets changes which facet of each face is second to last,
+    # where its target sits and whether that target is pinned; simplex3 is
+    # left out because every renaming of its facets is an automorphism
+    cx = relabeled_complex(make(), random.Random(seed))
+    assert cx.maximal_faces != make().maximal_faces
+    found = enumerate_characteristic(cx, 1, normalize=True)
+    assert [f.vectors for f in found] == brute_force_enumeration(cx, 1, True)
+
+
+@pytest.mark.parametrize(
+    "make, bound, count, digest",
+    [
+        (lambda: make_prism(5), 1, 10016, "df4784dbba5decbd"),
+        (make_cube, 2, 11624, "be55171958a9a73b"),
+    ],
+    ids=["prism5-normalized", "cube-bound2-normalized"],
+)
+def test_enumeration_count_and_digest_at_scale(make, bound, count, digest):
+    # recorded from the search that checked codim >= 3 faces at their last
+    # facet from a table; the digest covers the order as well as the rows
+    found = enumerate_characteristic(make(), bound, normalize=True)
+    text = json.dumps([f.vectors for f in found])
+    assert (len(found), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)
 
 
 @pytest.mark.parametrize(

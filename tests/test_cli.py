@@ -758,8 +758,9 @@ def test_unknown_subcommand_is_an_input_error(capsys):
             ["enumerate", "triangle.json", "--bound", "abc"],
             "error: argument --bound: invalid int value: 'abc'\n",
         ),
+        # a dash value that does not start with a digit still reads as an option
         (
-            ["point-eq", "triangle.json", "--p", "-1,0@0", "--q", "0,0@-"],
+            ["point-eq", "triangle.json", "--p", "-x,0@0", "--q", "0,0@-"],
             "error: argument --p: expected one argument\n",
         ),
         (
@@ -778,6 +779,38 @@ def test_usage_errors_are_one_line_input_errors(argv, message, capsys):
     assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
     # argparse writes nothing to the process's own streams
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (
+            ["map-check", "square_l1.json", "square_lm1.json", "--phi", "map_identity4.json"],
+            "--sigma",
+            "-1,0;0,1",
+        ),
+        (
+            ["homotopy-sample", "triangle.json", "triangle.json", "--phi", "map_identity3.json",
+             "--sigma", "1,0;0,1", "--s", "1/2"],
+            "--point",
+            "-1/3,1/4@0",
+        ),
+        (["point-eq", "triangle.json", "--q", "0,0@-"], "--p", "-1,0@0"),
+        (["point-eq", "triangle.json", "--p", "0,0@-"], "--q", "-1/2,3@-"),
+        (
+            ["homotopy-sample", "triangle.json", "triangle.json", "--phi", "map_identity3.json",
+             "--sigma", "1,0;0,1", "--point", "1/3,1/4@0"],
+            "--s",
+            "-1/2",
+        ),
+    ],
+    ids=["sigma", "point", "p", "q", "s-out-of-range"],
+)
+def test_values_with_a_leading_minus_read_as_in_the_equals_form(argv, flag, value):
+    argv = [path(a) if a.endswith(".json") else a for a in argv]
+    spaced = invoke(*argv, flag, value)
+    assert spaced == invoke(*argv, f"{flag}={value}")
+    assert "expected one argument" not in spaced[2]
 
 
 @pytest.mark.parametrize(
