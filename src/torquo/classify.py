@@ -20,7 +20,8 @@ forms along every automorphism and looks up each function once.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from math import gcd
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from ._value import Value
@@ -28,7 +29,7 @@ from .char_pair import CharacteristicFunction, CharacteristicPair
 from .errors import DimensionError, PreconditionError
 from .face_complex import FaceComplex, isomorphisms
 from .lattice import IntMatrix, IntVector, UnimodularMatrix, extends_to_basis, is_primitive
-from .lattice import _reduce_to_identity
+from .lattice import _annihilator_of, _reduce_to_identity
 
 MODES = ("strict", "weak")
 
@@ -267,9 +268,24 @@ def _collect(
     negation as well as sorted: negation reverses lex order, so
     box[top - i] == -box[i].  A mask is local to this call and filled
     lazily, only for the bits of the target's current domain that it has
-    not tested yet, and each extends_to_basis answer sets bits j and
-    top - j.  So each distinct tuple reaches extends_to_basis at most once
-    per call up to row signs, and nothing carries over between calls.
+    not tested yet.  When a key is first made, its prefix rows are reduced
+    once (lattice._annihilator_of): the last n - k columns of V with
+    prefix @ V = [I | 0] span the prefix's annihilator, and box[j]
+    completes the prefix exactly when the gcd of its dot products with
+    them is 1.  A prefix that does not extend gets an empty mask, and so
+    would k = n, because gcd() is 0.  Each answer sets bits j and top - j,
+    so each prefix is reduced at most once per call up to row signs, each
+    candidate is tested against it at most once, and nothing carries over
+    between calls.
+
+    Options i and top - i of one facet (sign twins) have the same key, so
+    they narrow the same targets to the same domains, and their subtrees
+    differ only in that facet's row.  The first twin met in ascending bit
+    order is walked and its [start, end) slice of the results recorded in
+    a dict local to the frame; the second appends that slice again with
+    this facet's row swapped in, without narrowing or restoring.  Where a
+    twin is missing from the domain (a pinned facet, or a chunk cut with
+    jobs > 1), the other is walked as usual.
     """
     top = len(box) - 1
     signless = [max(i, top - i) for i in range(len(box))]
@@ -292,25 +308,29 @@ def _collect(
                 duties[prefix[-1]].append((getter, target))
     targets = [sorted({target for _, target in jobs}) for jobs in duties]
 
-    # key -> [bits that complete the prefix, bits not yet tested]
-    masks: dict[tuple[int, ...], list[int]] = {}
+    # key -> [bits that complete the prefix, bits not yet tested, the
+    # prefix's annihilator columns]; a prefix that does not extend has none
+    # and completes nothing
+    masks: dict[tuple[int, ...], list] = {}
     every_bit = (1 << len(box)) - 1
+    n = len(box[0])
 
     def narrow(key: tuple[int, ...], target: int) -> int:
         entry = masks.get(key)
         if entry is None:
-            entry = masks[key] = [0, every_bit]
+            annihilator = _annihilator_of([box[k] for k in key], n)
+            entry = masks[key] = [0, 0 if annihilator is None else every_bit, annihilator]
         domain = domains[target]
         need = domain & entry[1]
         if need:
-            rows = tuple(box[k] for k in key)
-            passing, untested = entry
+            passing, untested, annihilator = entry
             while need:
                 j = (need & -need).bit_length() - 1
                 bits = 1 << j | 1 << (top - j)
                 need &= ~bits
                 untested &= ~bits
-                if extends_to_basis(rows + (box[j],)):
+                row = box[j]
+                if gcd(*[sum(map(mul, row, col)) for col in annihilator]) == 1:
                     passing |= bits
             entry[0], entry[1] = passing, untested
         domains[target] = domain & entry[0]
@@ -331,18 +351,30 @@ def _collect(
             return
         jobs = duties[facet]
         saved = [(b, domains[b]) for b in targets[facet]]
+        # signless key -> [start, end) of the results under its first twin
+        walked: dict[int, tuple[int, int]] = {}
+        after = facet + 1
         while rest:
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
+            s = signless[i]
+            if s in walked:
+                # the sign twin's subtree, with this facet's row swapped in
+                start, end = walked[s]
+                row = (box[i],)
+                results.extend([r[:facet] + row + r[after:] for r in results[start:end]])
+                continue
+            start = len(results)
             assign[facet] = box[i]
-            s = keys[facet] = signless[i]
+            keys[facet] = s
             pair_key = (s,)
             for getter, target in jobs:
                 if not narrow(getter(keys) if getter else pair_key, target):
                     break
             else:
-                walk(facet + 1)
+                walk(after)
+            walked[s] = (start, len(results))
             for b, domain in saved:
                 domains[b] = domain
 
@@ -375,14 +407,16 @@ def enumerate_characteristic(
     their entries again.
 
     bound and jobs must be ints >= 1 (bool is rejected).  jobs > 1 pays for
-    starting a process pool, which can cost more than the search: on 2
-    cores (Python 3.11, three runs of medians of 5, of 3 on the last two)
-    jobs=2 took 0.014-0.063 s against 0.004-0.009 s for jobs=1 on the
-    square at bound 2, 0.11-0.20 s against 0.04-0.12 s on the cube at
-    bound 2, normalized, 0.10-0.14 s against 0.04-0.06 s on the 3-simplex
-    at bound 1, 0.49-0.53 s against 0.49-0.51 s on the prism over a
-    hexagon at bound 1, normalized, and 1.07-1.12 s against 1.19-1.22 s
-    on the 4-cube at bound 1, normalized.
+    starting a process pool, which can cost more than the search.  The
+    chunks are contiguous, so with jobs=2 every sign twin of the split
+    facet lies in the other chunk and is walked, not mirrored (see
+    _collect).  On 2 cores (Python 3.11, three runs of medians of 5, of 3
+    on the last two) jobs=2 took 0.018-0.021 s against 0.004-0.005 s for
+    jobs=1 on the square at bound 2, 0.054-0.093 s against 0.039-0.052 s
+    on the cube at bound 2, normalized, 0.046-0.075 s against
+    0.025-0.042 s on the 3-simplex at bound 1, 0.24-0.37 s against
+    0.20-0.23 s on the prism over a hexagon at bound 1, normalized, and
+    0.58-0.67 s against 0.56-0.71 s on the 4-cube at bound 1, normalized.
     """
     for name, value in (("bound", bound), ("jobs", jobs)):
         if isinstance(value, bool) or not isinstance(value, int):

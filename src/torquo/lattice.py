@@ -24,8 +24,9 @@ Conventions:
     nonnegative diagonal entries in divisibility order, by alternating it
     on columns and rows;
   - they stay apart because the column reduction stops at the first row
-    whose gcd is not 1, which keeps the basis tests of enumeration cheap,
-    while a Hermite basis needs the whole reduction.
+    whose gcd is not 1, which keeps basis tests and the prefix
+    reductions of enumeration cheap, while a Hermite basis needs the
+    whole reduction.
 """
 
 from __future__ import annotations
@@ -318,13 +319,7 @@ class Sublattice(Value):
     @cached_property
     def _annihilator(self) -> tuple[IntVector, ...] | None:
         """Last n - k columns of V with basis @ V = [I | 0]; None if unsaturated."""
-        n = self.ambient
-        if not self.basis:
-            return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        v = _reduce_to_identity(self.basis)
-        if v is None:
-            return None
-        return tuple(tuple(row[j] for row in v) for j in range(self.rank, n))
+        return _annihilator_of(self.basis, self.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +458,24 @@ def _reduce_to_identity(rows: Sequence[Sequence[int]]) -> list[list[int]] | None
                 for row in every:
                     row[i] -= q * row[j]
     return v
+
+
+def _annihilator_of(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVector, ...] | None:
+    """Last n - k columns of V with rows @ V = [I | 0]; None if no such V exists.
+
+    They span the integer vectors orthogonal to the k rows.  An integer
+    vector c completes rows that extend to a basis to k + 1 rows that do
+    exactly when the gcd of its dot products with these columns is 1: the
+    stack times V is [I | 0] over (c @ V), and row steps clear the first k
+    entries of c @ V.  With k = n there are no columns and gcd() is 0, so
+    nothing completes the rows, as it must.
+    """
+    if not rows:
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    v = _reduce_to_identity(rows)
+    if v is None:
+        return None
+    return tuple(tuple(row[j] for row in v) for j in range(len(rows), n))
 
 
 def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:

@@ -17,6 +17,7 @@ import pytest
 
 from oracles import brute_force_classes, brute_force_equivalent, extends_oracle
 import torquo.classify as classify_module
+import torquo.lattice as lattice_module
 from torquo.char_pair import CharacteristicFunction, CharacteristicPair
 from torquo.classify import (
     EquivalenceWitness,
@@ -483,17 +484,22 @@ def test_enumeration_of_relabeled_complexes_matches_brute_force(make, seed):
 
 
 @pytest.mark.parametrize(
-    "make, bound, count, digest",
+    "make, bound, normalize, count, digest",
     [
-        (lambda: make_prism(5), 1, 10016, "df4784dbba5decbd"),
-        (make_cube, 2, 11624, "be55171958a9a73b"),
+        (lambda: make_prism(5), 1, True, 10016, "df4784dbba5decbd"),
+        (make_cube, 2, True, 11624, "be55171958a9a73b"),
+        (make_simplex3, 1, False, 19968, "840090b088556495"),
+        (make_square, 3, False, 9248, "1425650253e58547"),
     ],
-    ids=["prism5-normalized", "cube-bound2-normalized"],
+    ids=["prism5-normalized", "cube-bound2-normalized", "simplex3", "square-bound3"],
 )
-def test_enumeration_count_and_digest_at_scale(make, bound, count, digest):
-    # recorded from the search that checked codim >= 3 faces at their last
-    # facet from a table; the digest covers the order as well as the rows
-    found = enumerate_characteristic(make(), bound, normalize=True)
+def test_enumeration_count_and_digest_at_scale(make, bound, normalize, count, digest):
+    # the first two were recorded from the search that checked codim >= 3
+    # faces at their last facet from a table, the unnormalized two from the
+    # search that walked both sign twins of every option (no facet is
+    # pinned there, so twins are mirrored at every level); the digest
+    # covers the order as well as the rows
+    found = enumerate_characteristic(make(), bound, normalize=normalize)
     text = json.dumps([f.vectors for f in found])
     assert (len(found), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)
 
@@ -543,28 +549,58 @@ def test_enumeration_pool_under_spawn_matches_one_job():
 
 
 def test_enumeration_decides_each_face_tuple_once_per_call(monkeypatch):
+    # a face's tuples are decided from one reduction of its prefix rows, so
+    # the prefix reductions are what must happen once per call
     cx = make_cube()
     expected = enumerate_characteristic(cx, 1, normalize=True)
-    real = classify_module.extends_to_basis
-    calls: list[collections.Counter] = []
+    real = classify_module._annihilator_of
+    reductions: list[collections.Counter] = []
+    basis_tests: list[tuple] = []
+    real_gcd = classify_module.gcd
+    candidate_tests: list[int] = []
 
-    def recorder(rows):
-        calls[-1][tuple(tuple(row) for row in rows)] += 1
-        return real(rows)
+    def recorder(rows, n):
+        reductions[-1][tuple(tuple(row) for row in rows)] += 1
+        return real(rows, n)
 
-    monkeypatch.setattr(classify_module, "extends_to_basis", recorder)
+    def counting_gcd(*values):
+        # one call per candidate tested against a prefix's annihilator
+        candidate_tests[-1] += 1
+        return real_gcd(*values)
+
+    real_test = lattice_module.extends_to_basis
+
+    def basis_test(rows):
+        basis_tests.append(tuple(map(tuple, rows)))
+        return real_test(rows)
+
+    monkeypatch.setattr(classify_module, "_annihilator_of", recorder)
+    monkeypatch.setattr(classify_module, "gcd", counting_gcd)
+    # wherever a torquo module binds the basis test by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("torquo") and getattr(module, "extends_to_basis", None) is real_test:
+            monkeypatch.setattr(module, "extends_to_basis", basis_test)
     for _ in range(2):
-        calls.append(collections.Counter())
+        reductions.append(collections.Counter())
+        candidate_tests.append(0)
         assert enumerate_characteristic(cx, 1, normalize=True) == expected
-    first, second = calls
+    first, second = reductions
     assert first and max(first.values()) == 1
-    # nor is a tuple tested again with some rows negated
+    # nor is a prefix reduced again with some rows negated
     up_to_sign = collections.Counter(
         tuple(max(row, tuple(-x for x in row)) for row in rows) for rows in first
     )
     assert max(up_to_sign.values()) == 1
-    # a second call tests again: no answer is carried over between calls
+    # a second call reduces again: no answer is carried over between calls
     assert second == first
+    # each candidate is tested against a prefix at most once, its negation
+    # included: the 26 box rows fall into 13 sign classes, and the count is
+    # pinned to the one recorded when the masks were first filled this way
+    # (the same as the basis tests of the search before)
+    assert candidate_tests[0] == candidate_tests[1] == 357
+    assert candidate_tests[0] <= 13 * len(first)
+    # every face tuple is decided from a reduction, none by a basis test
+    assert basis_tests == []
 
 
 def test_enumeration_input_checks():

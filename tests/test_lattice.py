@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from torquo.lattice import (
     Sublattice,
     TorusPoint,
     UnimodularMatrix,
+    _annihilator_of,
     complete_to_basis,
     extends_to_basis,
     hermite_rows,
@@ -479,6 +482,50 @@ def test_subtorus_contains_matches_brute_force_oracle():
             positives += expected
             negatives += not expected
     assert positives > 300 and negatives > 300
+
+
+def test_annihilator_completion_rule_matches_minor_oracle():
+    # the rule enumeration masks by: c completes rows that extend to a basis
+    # exactly when the gcd of c's dot products with their annihilator
+    # columns is 1; rows that do not extend have no columns and complete
+    # nothing, and k = n leaves no columns, so gcd() = 0 rejects every c
+    rng = random.Random(53)
+    completes = rejects = spoiled_count = 0
+    for n in range(1, 6):
+        bound = 2 if n <= 3 else 1
+        box = [
+            v for v in itertools.product(range(-bound, bound + 1), repeat=n) if is_primitive(v)
+        ]
+        for _ in range(3 if n <= 3 else 2):
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(3 * n):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    q = rng.randint(-2, 2)
+                    rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+            for k in range(n + 1):
+                prefixes = [rows[:k]]
+                if k:
+                    # rows of an index-d sublattice of the same rank
+                    scaled = [list(row) for row in rows[:k]]
+                    r = rng.randrange(k)
+                    scaled[r] = [rng.choice((2, 3)) * x for x in scaled[r]]
+                    prefixes.append(scaled)
+                if k >= 2:
+                    # a last row that depends on the others
+                    prefixes.append(rows[: k - 1] + [[a + b for a, b in zip(rows[0], rows[k - 2])]])
+                for prefix in prefixes:
+                    columns = _annihilator_of(prefix, n)
+                    assert (columns is None) == (not extends_oracle(prefix)), prefix
+                    spoiled_count += columns is None
+                    for c in box:
+                        got = columns is not None and math.gcd(
+                            *(sum(a * b for a, b in zip(c, col)) for col in columns)
+                        ) == 1
+                        assert got == extends_oracle(prefix + [list(c)]), (prefix, c)
+                        completes += got
+                        rejects += not got
+    assert completes > 2000 and rejects > 4000 and spoiled_count > 30
 
 
 def test_subtorus_membership_well_defined_mod_one():
