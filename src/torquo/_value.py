@@ -2,13 +2,15 @@
 
 A class that declares _fields gets the tuple of those attributes as
 _values; a subclass without its own _fields inherits its parent's.  Each
-class stores its fields in its own __init__, after its checks.  The base
+class stores its fields in its own __init__, after its checks; a field
+that follows from the others may be a property instead
+(CharacteristicFunction.n is the length of its first vector).  The base
 compares instances of exactly the same class by their _values, hashes
 that tuple, prints it as Name(field=value, ...) and refuses assignment
 and deletion.
 
-Fields live in the instance __dict__, so functools.cached_property works,
-and default pickling, which restores __dict__ without calling
+Stored fields live in the instance __dict__, so functools.cached_property
+works, and default pickling, which restores __dict__ without calling
 __setattr__, round-trips an instance.  They are stored with
 object.__setattr__, not through self.__dict__: CPython 3.11+ keeps
 attributes inline until __dict__ is read, and a dict object per instance

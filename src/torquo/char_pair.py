@@ -33,10 +33,13 @@ class CharacteristicFunction(Value):
     lattice._int_rows), at least one facet, every vector of length n.
     Primitivity of each vector is part of validity and surfaces as a
     violation at the singleton face of the offending facet.
+
+    Only vectors is stored: once the checks pass, n is the length of the
+    first vector.  _fields still names both, so equality, hash, repr and
+    pickling see (n, vectors).
     """
 
     _fields = ("n", "vectors")
-    n: int
     vectors: tuple[IntVector, ...]
 
     def __init__(self, n: int, vectors: Iterable[Iterable[int]]) -> None:
@@ -49,28 +52,30 @@ class CharacteristicFunction(Value):
             raise DimensionError("characteristic function needs at least one facet")
         if {*map(len, vectors)} != {n}:
             raise DimensionError(f"every facet vector must have length {n}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "vectors", vectors)
 
     @classmethod
     def _unchecked(
-        cls, n: int, rows_list: Iterable[tuple[IntVector, ...]]
+        cls, rows_list: Iterable[tuple[IntVector, ...]]
     ) -> list["CharacteristicFunction"]:
         """One function per entry of rows_list, built without __init__'s checks.
 
-        Only for callers that made the rows themselves: n an int >= 1 and
-        each entry a nonempty tuple of tuples of exact ints of length n.
-        The fields are stored as __init__ stores them, with object.__new__
-        and object.__setattr__ bound once for the whole list.
+        Only for callers that made the rows themselves: each entry a
+        nonempty tuple of tuples of exact ints, all of one length n >= 1.
+        Each function is made by object.__new__ and stores its one field
+        with one object.__setattr__, both bound once for the whole list.
         """
         new, store = object.__new__, object.__setattr__
         functions = []
         for vectors in rows_list:
             func = new(cls)
-            store(func, "n", n)
             store(func, "vectors", vectors)
             functions.append(func)
         return functions
+
+    @property
+    def n(self) -> int:
+        return len(self.vectors[0])
 
     @property
     def facet_count(self) -> int:

@@ -20,6 +20,7 @@ forms along every automorphism and looks up each function once.
 from __future__ import annotations
 
 import itertools
+import os
 from math import gcd
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
@@ -283,9 +284,13 @@ def _collect(
     differ only in that facet's row.  The first twin met in ascending bit
     order is walked and its [start, end) slice of the results recorded in
     a dict local to the frame; the second appends that slice again with
-    this facet's row swapped in, without narrowing or restoring.  Where a
-    twin is missing from the domain (a pinned facet, or a chunk cut with
-    jobs > 1), the other is walked as usual.
+    this facet's row swapped in, without narrowing or restoring.  The
+    facets before this one stay fixed while the first twin is walked, so
+    every result in the slice starts with assign[:facet]: each copy is
+    one concatenation of a lead tuple, that prefix plus the new row made
+    once per twin, with the result's tail.  Where a twin is missing from
+    the domain (a pinned facet, or a chunk cut with jobs > 1), the other
+    is walked as usual.
     """
     top = len(box) - 1
     signless = [max(i, top - i) for i in range(len(box))]
@@ -339,6 +344,10 @@ def _collect(
     assign: list[IntVector] = [()] * cx.m
     last = cx.m - 1
     results: list[tuple[IntVector, ...]] = []
+    # made once per call: a 1-tuple per box row, and per facet a getter of
+    # the rows after it
+    single = [(row,) for row in box]
+    tails = [itemgetter(slice(facet + 1, None)) for facet in range(cx.m)]
 
     def walk(facet: int) -> None:
         rest = domains[facet]
@@ -347,7 +356,7 @@ def _collect(
             while rest:
                 low = rest & -rest
                 rest ^= low
-                results.append(head + (box[low.bit_length() - 1],))
+                results.append(head + single[low.bit_length() - 1])
             return
         jobs = duties[facet]
         saved = [(b, domains[b]) for b in targets[facet]]
@@ -360,10 +369,11 @@ def _collect(
             i = low.bit_length() - 1
             s = signless[i]
             if s in walked:
-                # the sign twin's subtree, with this facet's row swapped in
+                # the sign twin's subtree: the fixed prefix, this facet's
+                # row, then each recorded result's tail
                 start, end = walked[s]
-                row = (box[i],)
-                results.extend([r[:facet] + row + r[after:] for r in results[start:end]])
+                lead = tuple(assign[:facet]) + single[i]
+                results.extend(map(lead.__add__, map(tails[facet], results[start:end])))
                 continue
             start = len(results)
             assign[facet] = box[i]
@@ -408,15 +418,17 @@ def enumerate_characteristic(
 
     bound and jobs must be ints >= 1 (bool is rejected).  jobs > 1 pays for
     starting a process pool, which can cost more than the search.  The
-    chunks are contiguous, so with jobs=2 every sign twin of the split
-    facet lies in the other chunk and is walked, not mirrored (see
-    _collect).  On 2 cores (Python 3.11, three runs of medians of 5, of 3
-    on the last two) jobs=2 took 0.018-0.021 s against 0.004-0.005 s for
-    jobs=1 on the square at bound 2, 0.054-0.093 s against 0.039-0.052 s
-    on the cube at bound 2, normalized, 0.046-0.075 s against
-    0.025-0.042 s on the 3-simplex at bound 1, 0.24-0.37 s against
-    0.20-0.23 s on the prism over a hexagon at bound 1, normalized, and
-    0.58-0.67 s against 0.56-0.71 s on the 4-cube at bound 1, normalized.
+    pool starts all its workers at once, so it has min(jobs, CPUs) of them
+    for its chunks.  The chunks are contiguous, so with jobs=2 every
+    sign twin of the split facet lies in the other chunk and is walked,
+    not mirrored (see _collect).  On 2 cores (Python 3.11, three runs of
+    medians of 5, of 3 on the last two) jobs=2 took 0.018-0.021 s against
+    0.004-0.005 s for jobs=1 on the square at bound 2, 0.054-0.093 s
+    against 0.039-0.052 s on the cube at bound 2, normalized,
+    0.046-0.075 s against 0.025-0.042 s on the 3-simplex at bound 1,
+    0.24-0.37 s against 0.20-0.23 s on the prism over a hexagon at bound
+    1, normalized, and 0.58-0.67 s against 0.56-0.71 s on the 4-cube at
+    bound 1, normalized.
     """
     for name, value in (("bound", bound), ("jobs", jobs)):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -442,10 +454,11 @@ def enumerate_characteristic(
         # imported here: multiprocessing is heavy and only this branch needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the workers all start at once, so never more of them than CPUs
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_collect, [cx] * count, [box] * count, chunk_domains))
         rows_list = [rows for part in parts for rows in part]
-    return CharacteristicFunction._unchecked(cx.n, rows_list)
+    return CharacteristicFunction._unchecked(rows_list)
 
 
 def weak_classes(

@@ -3,10 +3,11 @@
 Exit codes: 0 for success or a true answer, 2 for a well-formed negative
 answer (invalid characteristic function, unequal points, no equivalence,
 failed map check), 1 for input errors of any kind.  Reports go to stdout
-as JSON with sorted keys; diagnostics go to stderr.  TORQUO_THREADS caps
-the parallelism of enumeration.  A negative report is raised as a private
-_Negative where it is found, and run() writes it and returns 2; only
-point-eq, whose two answers share one report, returns 2 itself.
+as JSON with sorted keys; diagnostics go to stderr.  TORQUO_THREADS sets
+how many chunks enumeration is split into (at most), searched by at most
+one worker per CPU.  A negative report is raised as a private _Negative where
+it is found, and run() writes it and returns 2; only point-eq, whose two
+answers share one report, returns 2 itself.
 
 Flag syntaxes not fixed by the file format:
 
@@ -457,6 +458,28 @@ def _thread_count() -> int:
     return jobs
 
 
+class _RowTexts(dict):
+    """Row tuple -> its JSON text, made on first lookup.
+
+    str of a list of ints is its JSON text, so each distinct row is
+    formatted once per call however many functions hold it.
+    """
+
+    def __missing__(self, row: tuple[int, ...]) -> str:
+        text = self[row] = str(list(row))
+        return text
+
+
+def _function_line(index: int, vectors: Sequence[tuple[int, ...]], texts: _RowTexts) -> str:
+    """One enumerate output line, built from cached row texts.
+
+    Equal to json.dumps({"index": index, "lambda": rows}, sort_keys=True)
+    plus a newline: "index" sorts before "lambda", and the separators are
+    json's defaults.
+    """
+    return f'{{"index": {index}, "lambda": [{", ".join(map(texts.__getitem__, vectors))}]}}\n'
+
+
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     from .classify import enumerate_characteristic, weak_classes
 
@@ -467,14 +490,8 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     functions = enumerate_characteristic(
         complex_, args.bound, normalize=args.normalize, jobs=_thread_count()
     )
-    for index, func in enumerate(functions):
-        out.write(
-            json.dumps(
-                {"index": index, "lambda": [list(row) for row in func.vectors]},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+    texts = _RowTexts()
+    out.writelines(_function_line(i, func.vectors, texts) for i, func in enumerate(functions))
     summary: dict[str, Any] = {"count": len(functions)}
     if args.group:
         summary["classes"] = weak_classes(complex_, functions)

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -511,16 +512,22 @@ def test_enumeration_count_and_digest_at_scale(make, bound, normalize, count, di
 def test_enumerated_functions_equal_checked_construction(make, bound, normalize):
     # the search builds its functions without the entry check; each must be
     # indistinguishable from one built by the public constructor
-    found = enumerate_characteristic(make(), bound, normalize=normalize)
+    cx = make()
+    found = enumerate_characteristic(cx, bound, normalize=normalize)
     assert found
     for func in found:
         checked = CharacteristicFunction(func.n, func.vectors)
         assert func == checked and checked == func
-        assert hash(func) == hash(checked)
+        assert hash(func) == hash(checked) == hash((cx.n, func.vectors))
         assert repr(func) == repr(checked)
+        assert repr(func) == f"CharacteristicFunction(n={cx.n}, vectors={func.vectors!r})"
         assert type(func.vectors) is tuple
         assert all(type(row) is tuple and len(row) == func.n for row in func.vectors)
         assert all(type(x) is int for row in func.vectors for x in row)
+        # n is read off the vectors, which are the one stored field
+        assert func.n == cx.n and vars(func) == vars(checked) == {"vectors": func.vectors}
+        clone = pickle.loads(pickle.dumps(func))
+        assert clone == func and clone.n == cx.n and repr(clone) == repr(func)
 
 
 def test_enumeration_pool_under_spawn_matches_one_job():
@@ -546,6 +553,48 @@ def test_enumeration_pool_under_spawn_matches_one_job():
     assert proc.returncode == 0, proc.stderr
     expected = enumerate_characteristic(make_cube(), 1, normalize=True, jobs=1)
     assert proc.stdout == f"{[f.vectors for f in expected]}\n"
+
+
+def test_enumeration_pool_has_at_most_one_worker_per_cpu(monkeypatch):
+    # the pool forks all its workers at once, so a large jobs value must not
+    # start that many; a stand-in executor records the size it is asked for
+    # and runs the chunks in this process, so no process starts here
+    import concurrent.futures
+
+    sizes: list[int] = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    chunks: list[int] = []
+    real_collect = classify_module._collect
+
+    def counting_collect(cx, box, domains):
+        chunks.append(len(box))
+        return real_collect(cx, box, domains)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(classify_module, "_collect", counting_collect)
+    cx = make_square()
+    expected = enumerate_characteristic(cx, 2, jobs=1)
+    # the 16 box entries split 4/4/4/4 and 6/6/4
+    for cpus, jobs, workers in ((2, 4, 2), (None, 3, 1), (8, 3, 3)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        chunks.clear()
+        assert enumerate_characteristic(cx, 2, jobs=jobs) == expected
+        assert sizes[-1] == workers
+        # still one chunk per job, however few workers search them
+        assert len(chunks) == jobs
 
 
 def test_enumeration_decides_each_face_tuple_once_per_call(monkeypatch):

@@ -13,8 +13,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torquo.cli import run
+from torquo.cli import _function_line, _RowTexts, run
 from torquo.errors import ProblemFileError
 from torquo.problemfile import (
     format_rational,
@@ -715,6 +717,32 @@ def test_enumerate_triangle_stream():
     assert [row["index"] for row in lines[:-1]] == [0, 1, 2, 3]
     assert lines[0]["lambda"] == [[1, 0], [0, 1], [-1, -1]]
     assert lines[3]["lambda"] == [[1, 0], [0, 1], [1, 1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.tuples(*[st.integers(-(10**30), 10**30) | st.integers(-3, 3)] * n),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+    st.integers(0, 10**12),
+)
+def test_enumerate_line_writer_matches_json_dumps(functions, first_index):
+    # one row cache for all the lines, as in one enumerate call, so repeated
+    # rows are served from it
+    texts = _RowTexts()
+    for index, vectors in enumerate(functions, first_index):
+        expected = json.dumps(
+            {"index": index, "lambda": [list(row) for row in vectors]}, sort_keys=True
+        )
+        assert _function_line(index, tuple(vectors), texts) == expected + "\n"
 
 
 def test_enumerate_is_byte_identical_across_thread_counts(monkeypatch):

@@ -89,6 +89,22 @@ def test_commands_load_only_the_modules_they_call(argv, loads):
     assert {m for m in ("classify", "morphism") if f"torquo.{m}" in loaded} == loads
 
 
+def test_enumerate_with_one_job_loads_no_process_pool():
+    # the pool's modules are imported only on the jobs > 1 branch
+    loaded = loaded_after(
+        f"""
+        import io
+        import os
+        os.environ.pop("TORQUO_THREADS", None)
+        from torquo.cli import run
+        argv = ["enumerate", {str(DATA / "cube.json")!r}, "--bound", "1", "--normalize"]
+        assert run(argv, io.StringIO(), io.StringIO()) == 0
+        """
+    )
+    assert "torquo.classify" in loaded
+    assert not {"concurrent.futures", "multiprocessing"} & loaded
+
+
 def test_public_names_resolve_lazily_to_their_defining_modules():
     proc = fresh(
         """
