@@ -20,7 +20,7 @@ forms along every automorphism and looks up each function once.
 from __future__ import annotations
 
 import itertools
-import os
+import sys
 from math import gcd
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
@@ -289,8 +289,7 @@ def _collect(
     every result in the slice starts with assign[:facet]: each copy is
     one concatenation of a lead tuple, that prefix plus the new row made
     once per twin, with the result's tail.  Where a twin is missing from
-    the domain (a pinned facet, or a chunk cut with jobs > 1), the other
-    is walked as usual.
+    the domain (a pinned facet), the other is walked as usual.
     """
     top = len(box) - 1
     signless = [max(i, top - i) for i in range(len(box))]
@@ -403,61 +402,37 @@ def enumerate_characteristic(
     any: a change of basis by the inverse vertex matrix pins any valid
     function.  Every other facet ranges over the primitive box.
 
-    Output is in lexicographic order of the vector rows and identical for
-    every jobs value.  No sort is needed for that: the search emits its
-    assignments in that order, and with jobs > 1 the domain of the first
-    unpinned facet is cut into contiguous chunks of box indices, each
-    searched by the same _collect in a worker, whose results are joined in
-    chunk order.  Each search keeps its own face masks (see _collect), so
-    no answer is reused across calls.
+    Output is in lexicographic order of the vector rows.  No sort is
+    needed for that: one _collect call emits its assignments in that
+    order.  It keeps its own face masks, so no answer is reused across
+    calls.
 
     The rows come from primitive_box, which is lex sorted and closed under
     negation as _collect requires, so they are tuples of exact ints of
     length n, and the functions are built in one batch without checking
     their entries again.
 
-    bound and jobs must be ints >= 1 (bool is rejected).  jobs > 1 pays for
-    starting a process pool, which can cost more than the search.  The
-    pool starts all its workers at once, so it has min(jobs, CPUs) of them
-    for its chunks.  The chunks are contiguous, so with jobs=2 every
-    sign twin of the split facet lies in the other chunk and is walked,
-    not mirrored (see _collect).  On 2 cores (Python 3.11, three runs of
-    medians of 5, of 3 on the last two) jobs=2 took 0.018-0.021 s against
-    0.004-0.005 s for jobs=1 on the square at bound 2, 0.054-0.093 s
-    against 0.039-0.052 s on the cube at bound 2, normalized,
-    0.046-0.075 s against 0.025-0.042 s on the 3-simplex at bound 1,
-    0.24-0.37 s against 0.20-0.23 s on the prism over a hexagon at bound
-    1, normalized, and 0.58-0.67 s against 0.56-0.71 s on the 4-cube at
-    bound 1, normalized.
+    bound and jobs must be ints >= 1 (bool is rejected), and the box
+    [-bound, bound]^n may hold at most sys.maxsize points, or it could
+    never be listed.  jobs has no effect: the search is serial.
     """
     for name, value in (("bound", bound), ("jobs", jobs)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise PreconditionError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise PreconditionError(f"{name} must be >= 1")
+    # bound > maxsize decides the box's size without forming the power
+    if bound > sys.maxsize or (2 * bound + 1) ** cx.n > sys.maxsize:
+        raise PreconditionError(
+            f"bound is too large: [-bound, bound]^{cx.n} has more than {sys.maxsize} points"
+        )
     box = primitive_box(cx.n, bound)
     full = (1 << len(box)) - 1
     pinned = cx.maximal_faces[0].facets if normalize else ()
     domains = [full] * cx.m
     for j, facet in enumerate(pinned):
         domains[facet] = 1 << box.index(tuple(int(k == j) for k in range(cx.n)))
-    split = next((i for i in range(cx.m) if i not in pinned), None)
-    if jobs == 1 or split is None or len(box) < 2 * jobs:
-        rows_list = _collect(cx, box, domains)
-    else:
-        step = -(-len(box) // jobs)
-        chunk_domains = [
-            domains[:split] + [((1 << step) - 1) << k & full] + domains[split + 1 :]
-            for k in range(0, len(box), step)
-        ]
-        count = len(chunk_domains)
-        # imported here: multiprocessing is heavy and only this branch needs it
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the workers all start at once, so never more of them than CPUs
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_collect, [cx] * count, [box] * count, chunk_domains))
-        rows_list = [rows for part in parts for rows in part]
+    rows_list = _collect(cx, box, domains)
     return CharacteristicFunction._unchecked(rows_list)
 
 

@@ -3,11 +3,10 @@
 Exit codes: 0 for success or a true answer, 2 for a well-formed negative
 answer (invalid characteristic function, unequal points, no equivalence,
 failed map check), 1 for input errors of any kind.  Reports go to stdout
-as JSON with sorted keys; diagnostics go to stderr.  TORQUO_THREADS sets
-how many chunks enumeration is split into (at most), searched by at most
-one worker per CPU.  A negative report is raised as a private _Negative where
-it is found, and run() writes it and returns 2; only point-eq, whose two
-answers share one report, returns 2 itself.
+as JSON with sorted keys; diagnostics go to stderr.  A negative report is
+raised as a private _Negative where it is found, and run() writes it and
+returns 2; only point-eq, whose two answers share one report, returns 2
+itself.
 
 Flag syntaxes not fixed by the file format:
 
@@ -23,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from .char_pair import CharacteristicPair, ModelPoint
@@ -35,6 +32,7 @@ from .lattice import TorusPoint, UnimodularMatrix
 from .problemfile import (
     ProblemFile,
     _decode_json,
+    _fraction,
     format_rational,
     parse_problem,
 )
@@ -114,7 +112,7 @@ def _parse_point_flag(text: str, n: int) -> ModelPoint:
     if len(parts) != n:
         raise InputError(f"point {text!r} has {len(parts)} coordinates, expected {n}")
     try:
-        coords = tuple(Fraction(part.strip()) for part in parts)
+        coords = tuple(_fraction(part.strip()) for part in parts)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot read coordinates in point {text!r}") from None
     facets = _parse_face_flag(face_text)
@@ -402,7 +400,7 @@ def _cmd_homotopy_sample(args: argparse.Namespace, out) -> int:
     if not src.complex.has_face(point.face.facets):
         raise InputError(f"point face {list(point.face.facets)} is not a face of the source")
     try:
-        s = Fraction(args.s)
+        s = _fraction(args.s)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot read time {args.s!r}") from None
     image = straight_line_homotopy_apply(morphism, reps, point, s)
@@ -447,17 +445,6 @@ def _cmd_eq(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TORQUO_THREADS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise InputError(f"TORQUO_THREADS={raw!r} is not an integer") from None
-    if jobs < 1:
-        raise InputError(f"TORQUO_THREADS must be >= 1, got {jobs}")
-    return jobs
-
-
 class _RowTexts(dict):
     """Row tuple -> its JSON text, made on first lookup.
 
@@ -487,9 +474,7 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     complex_ = problem.build_complex()
     if args.bound < 1:
         raise InputError("--bound must be >= 1")
-    functions = enumerate_characteristic(
-        complex_, args.bound, normalize=args.normalize, jobs=_thread_count()
-    )
+    functions = enumerate_characteristic(complex_, args.bound, normalize=args.normalize)
     texts = _RowTexts()
     out.writelines(_function_line(i, func.vectors, texts) for i, func in enumerate(functions))
     summary: dict[str, Any] = {"count": len(functions)}

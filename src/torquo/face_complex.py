@@ -18,6 +18,9 @@ from .errors import ComplexInputError, DimensionError, NoSuchFaceError, Simplici
 
 FacetId = int
 
+# how many uncovered facets a ComplexInputError names before "and N more"
+_NAMED_MISSING = 10
+
 
 class Face(OrderedValue):
     """A face, encoded by the strictly increasing tuple of facets containing it."""
@@ -84,9 +87,14 @@ class FaceComplex:
         if not maximal:
             raise ComplexInputError("complex needs at least one maximal face")
         covered = {i for face in maximal for i in face.facets}
-        missing = sorted(set(range(m)) - covered)
-        if missing:
-            raise ComplexInputError(f"facets {missing} lie on no maximal face")
+        # every id is < m, so facets are missing exactly when len(covered) < m;
+        # they are named from the low end, never by a set of size m
+        if len(covered) < m:
+            lost = m - len(covered)
+            named = (i for i in range(m) if i not in covered)
+            missing = list(itertools.islice(named, _NAMED_MISSING))
+            more = f" and {lost - len(missing)} more" if lost > len(missing) else ""
+            raise ComplexInputError(f"facets {missing}{more} lie on no maximal face")
 
         faces: set[Face] = {Face(())}
         for face in maximal:

@@ -90,11 +90,21 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text) for "p/q" and plain decimals; ValueError on an exponent.
+
+    Fraction would build 10**k for "1e<k>", which takes minutes for large k.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent in {text!r}")
+    return Fraction(text)
+
+
 def parse_rational(text: object, where: str) -> Fraction:
     if not isinstance(text, str):
         raise ProblemFileError(f"{where}: rationals must be strings like \"1/2\", got {text!r}")
     try:
-        return Fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ProblemFileError(f"{where}: cannot read rational {text!r}") from None
 

@@ -205,14 +205,12 @@ def test_c6_enumeration_counts_and_determinism():
     square = make_square()
     runs = [enumerate_characteristic(square, 2, normalize=True) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
-    for jobs in (2, 3):
-        assert enumerate_characteristic(square, 2, normalize=True, jobs=jobs) == runs[0]
     for func in runs[0]:
         assert CharacteristicPair(square, func).first_violation() is None
     print(f"C6 PASS: triangle bound 1 normalized gave exactly "
           f"{len(found)} functions in {len(classes)} weak class "
           f"(oracle agrees); square bound 2 normalized gave {len(runs[0])} "
-          f"functions, all valid, identical across 3 runs and jobs in {{1,2,3}}")
+          f"functions, all valid, identical across 3 runs")
 
 
 def test_c7_invariants_are_preserved_and_count_fixed_points():

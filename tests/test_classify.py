@@ -7,12 +7,9 @@ import functools
 import hashlib
 import itertools
 import json
-import os
 import pickle
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -385,15 +382,6 @@ def test_enumeration_is_sorted_and_duplicate_free():
     assert len(rows) == len(set(rows))
 
 
-def test_enumeration_agrees_across_job_counts():
-    cx = make_square()
-    single = enumerate_characteristic(cx, 1, jobs=1)
-    for jobs in (2, 3):
-        assert enumerate_characteristic(cx, 1, jobs=jobs) == single
-    pinned_single = enumerate_characteristic(cx, 1, normalize=True, jobs=1)
-    assert enumerate_characteristic(cx, 1, normalize=True, jobs=2) == pinned_single
-
-
 def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
     """Every assignment from the full box that passes the oracle on every face.
 
@@ -420,46 +408,35 @@ def brute_force_enumeration(cx, bound: int, normalize: bool) -> list[tuple]:
 
 
 @pytest.mark.parametrize(
-    "make, normalize, jobs, bound",
+    "make, normalize, bound",
     [
-        (make_triangle, False, 1, 1),
-        (make_square, False, 1, 1),
-        (make_square, False, 2, 1),
-        (make_square, False, 3, 1),
-        (make_pentagon, False, 1, 1),
-        (make_simplex3, True, 1, 1),
-        (make_cube, True, 1, 1),
-        (make_cube, True, 2, 1),
-        # chunks that do not divide the box: 16 options as 6/6/4, 26 as 9/9/8
-        (make_square, False, 3, 2),
-        (make_cube, True, 3, 1),
+        (make_triangle, False, 1),
+        (make_square, False, 1),
+        (make_pentagon, False, 1),
+        (make_simplex3, True, 1),
+        (make_cube, True, 1),
+        (make_square, False, 2),
         # codim-3 faces whose rows all take free signs
-        (make_simplex3, False, 1, 1),
+        (make_simplex3, False, 1),
         # n = 4: maximal faces of four facets, codim-3 faces inside them
-        (make_triangle_product, True, 1, 1),
-        (make_triangle_product, True, 2, 1),
+        (make_triangle_product, True, 1),
     ],
     ids=[
         "triangle",
         "square",
-        "square-jobs2",
-        "square-jobs3",
         "pentagon",
         "simplex3-normalized",
         "cube-normalized",
-        "cube-normalized-jobs2",
-        "square-bound2-jobs3",
-        "cube-normalized-jobs3",
+        "square-bound2",
         "simplex3",
         "triangle-product-normalized",
-        "triangle-product-normalized-jobs2",
     ],
 )
-def test_enumeration_matches_brute_force_oracle(make, normalize, jobs, bound):
+def test_enumeration_matches_brute_force_oracle(make, normalize, bound):
     # exact ordered comparison: the oracle sorts its own output, the search
     # must emit that order without sorting
     cx = make()
-    found = enumerate_characteristic(cx, bound, normalize=normalize, jobs=jobs)
+    found = enumerate_characteristic(cx, bound, normalize=normalize)
     assert [f.vectors for f in found] == brute_force_enumeration(cx, bound, normalize)
 
 
@@ -530,73 +507,6 @@ def test_enumerated_functions_equal_checked_construction(make, bound, normalize)
         assert clone == func and clone.n == cx.n and repr(clone) == repr(func)
 
 
-def test_enumeration_pool_under_spawn_matches_one_job():
-    # spawned workers get cx and their domains by pickling, not from a fork
-    code = (
-        "import multiprocessing\n"
-        "from torquo.classify import enumerate_characteristic\n"
-        "from torquo.face_complex import FaceComplex\n"
-        "multiprocessing.set_start_method('spawn')\n"
-        "vertices = [[x, 2 + y, 4 + z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]\n"
-        "found = enumerate_characteristic(FaceComplex(3, 6, vertices), 1, True, 2)\n"
-        "print([f.vectors for f in found])\n"
-    )
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=root,
-        env=dict(os.environ, PYTHONPATH="src"),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    expected = enumerate_characteristic(make_cube(), 1, normalize=True, jobs=1)
-    assert proc.stdout == f"{[f.vectors for f in expected]}\n"
-
-
-def test_enumeration_pool_has_at_most_one_worker_per_cpu(monkeypatch):
-    # the pool forks all its workers at once, so a large jobs value must not
-    # start that many; a stand-in executor records the size it is asked for
-    # and runs the chunks in this process, so no process starts here
-    import concurrent.futures
-
-    sizes: list[int] = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    chunks: list[int] = []
-    real_collect = classify_module._collect
-
-    def counting_collect(cx, box, domains):
-        chunks.append(len(box))
-        return real_collect(cx, box, domains)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(classify_module, "_collect", counting_collect)
-    cx = make_square()
-    expected = enumerate_characteristic(cx, 2, jobs=1)
-    # the 16 box entries split 4/4/4/4 and 6/6/4
-    for cpus, jobs, workers in ((2, 4, 2), (None, 3, 1), (8, 3, 3)):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-        chunks.clear()
-        assert enumerate_characteristic(cx, 2, jobs=jobs) == expected
-        assert sizes[-1] == workers
-        # still one chunk per job, however few workers search them
-        assert len(chunks) == jobs
-
-
 def test_enumeration_decides_each_face_tuple_once_per_call(monkeypatch):
     # a face's tuples are decided from one reduction of its prefix rows, so
     # the prefix reductions are what must happen once per call
@@ -660,6 +570,11 @@ def test_enumeration_input_checks():
         enumerate_characteristic(cx, 1, jobs=0)
     for bound in (1.5, True, "2", None):
         with pytest.raises(PreconditionError, match="bound must be an integer"):
+            enumerate_characteristic(cx, bound)
+    # boxes past sys.maxsize points could never be listed; the check must
+    # not form their size from a huge bound either
+    for bound in (99999999999999999999, 2**61, 10**100000):
+        with pytest.raises(PreconditionError, match="bound is too large"):
             enumerate_characteristic(cx, bound)
     for jobs in (1.5, True, "2", None):
         with pytest.raises(PreconditionError, match="jobs must be an integer"):

@@ -184,6 +184,12 @@ UNDECODABLE = {
     "not-utf8": b'{"n": \xff}',
     "too-deep": b"[" * 200000,
     "long-int": b'{"n": ' + b"9" * 5000 + b"}",
+    # m = 10**30 + 1 facets: the missing ones are named without a set of size m
+    "huge-facet-id": b'{"n": 2, "vertices": [[0, 1' + b"0" * 30
+    + b']], "contractible_faces": true}',
+    # Fraction would build 10**1000000000 for a reps point in exponent notation
+    "exponent-rational": b'{"n": 2, "vertices": [[0, 1], [0, 2], [1, 2]], "contractible_faces": '
+    b'true, "reps": [{"face": [], "point": ["1e1000000000", "0/1"]}]}',
 }
 
 
@@ -216,6 +222,11 @@ def test_rational_format_round_trip():
         parse_rational("1/0", "here")
     with pytest.raises(ProblemFileError):
         parse_rational(0.5, "here")
+    # plain decimals read as before; exponent notation does not
+    assert parse_rational("-0.25", "here") == Fraction(-1, 4)
+    for text in ("1e5", "2.5E-3", "1e1000000000"):
+        with pytest.raises(ProblemFileError, match="cannot read rational"):
+            parse_rational(text, "here")
 
 
 def test_facet_count_fallback_comes_from_vertices():
@@ -745,24 +756,13 @@ def test_enumerate_line_writer_matches_json_dumps(functions, first_index):
         assert _function_line(index, tuple(vectors), texts) == expected + "\n"
 
 
-def test_enumerate_is_byte_identical_across_thread_counts(monkeypatch):
-    monkeypatch.setenv("TORQUO_THREADS", "1")
-    _, single, _ = invoke("enumerate", path("square_l1.json"), "--bound", "1")
-    monkeypatch.setenv("TORQUO_THREADS", "2")
-    code, double, _ = invoke("enumerate", path("square_l1.json"), "--bound", "1")
-    assert code == 0
-    assert double == single
-
-
-def test_enumerate_input_errors(monkeypatch):
+def test_enumerate_input_errors():
     code, _, err = invoke("enumerate", path("triangle.json"), "--bound", "0")
     assert code == 1 and "--bound" in err
-    monkeypatch.setenv("TORQUO_THREADS", "zero")
-    code, _, err = invoke("enumerate", path("triangle.json"), "--bound", "1")
-    assert code == 1 and "TORQUO_THREADS" in err
-    monkeypatch.setenv("TORQUO_THREADS", "0")
-    code, _, _ = invoke("enumerate", path("triangle.json"), "--bound", "1")
-    assert code == 1
+    # a box too large to list: one line, not an OverflowError from range
+    code, out, err = invoke("enumerate", path("triangle.json"), "--bound", "99999999999999999999")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bound is too large") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +862,26 @@ def test_values_with_a_leading_minus_read_as_in_the_equals_form(argv, flag, valu
 def test_line_breaks_in_messages_are_escaped(argv, expected):
     # the one-line rule for exit 1 holds whatever the command line carries
     assert invoke(*argv) == (1, "", expected)
+
+
+@pytest.mark.parametrize("exponent", ["1e5", "2.5E-3", "1e1000000000"])
+def test_exponent_rationals_are_input_errors(tmp_path, exponent):
+    # Fraction builds 10**k for "1e<k>", so every site that reads a rational
+    # refuses the exponent before it does
+    hom = ["homotopy-sample", path("triangle.json"), path("triangle.json"),
+           "--phi", path("map_identity3.json"), "--sigma", "1,0;0,1", "--point", "1/3,1/4@0"]
+    point = f"{exponent},0@0"
+    assert invoke("point-eq", path("triangle.json"), f"--p={point}", "--q=0,0@0") == (
+        1, "", f"error: cannot read coordinates in point {point!r}\n"
+    )
+    assert invoke(*hom, f"--s={exponent}") == (1, "", f"error: cannot read time {exponent!r}\n")
+    doc = json.loads((DATA / "triangle.json").read_text(encoding="utf-8"))
+    doc["reps"][0]["point"][0] = exponent
+    bad = tmp_path / "exponent.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert invoke("validate", str(bad)) == (
+        1, "", f"error: {bad}: \"reps\"[0].point[0]: cannot read rational {exponent!r}\n"
+    )
 
 
 def test_help_exits_zero(capsys):

@@ -43,12 +43,10 @@ def _replay(argv: list[str]) -> dict:
 )
 def test_cli_output_matches_golden(case, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("TORQUO_THREADS", raising=False)
     assert _replay(case["argv"]) == case
 
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    os.environ.pop("TORQUO_THREADS", None)
     cases = [_replay(case["argv"]) for case in CASES]
     GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -138,7 +138,9 @@ def _flag(draw, *good: str):
     return draw(st.text("0123456789/,;@#-x \n\r", max_size=10))
 
 
-POINTS = _flag("0,0@-", "1/2,0@0", "1/3,1/4@0#a", "0@0", "1/2,1/3,0@1,2", "0,0@0,1,2")
+POINTS = _flag(
+    "0,0@-", "1/2,0@0", "1/3,1/4@0#a", "0@0", "1/2,1/3,0@1,2", "0,0@0,1,2", "1e1000000000,0@0"
+)
 FLAGS = st.fixed_dictionaries(
     {
         "face": _flag("-", "0", "2", "0,1", "1,2", "0,1,2", "9"),
@@ -146,8 +148,8 @@ FLAGS = st.fixed_dictionaries(
         "q": POINTS,
         "point": POINTS,
         "sigma": _flag("1,0;0,1", "1,0;0,-1", "0,-1;1,-1", "1,1;0,1", "1", "2,0;0,1"),
-        "s": _flag("0", "1", "1/2", "3/2", "1/0"),
-        "bound": st.integers(-1, 1) | st.sampled_from(["abc", "", "1.5"]),
+        "s": _flag("0", "1", "1/2", "3/2", "1/0", "1e1000000000"),
+        "bound": st.integers(-1, 1) | st.sampled_from(["abc", "", "1.5", "99999999999999999999"]),
         "mode": st.sampled_from(["weak", "strict"]),
         "normalize": st.booleans(),
         "group": st.booleans(),

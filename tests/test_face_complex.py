@@ -69,6 +69,25 @@ def test_construction_errors():
         FaceComplex(2, 1, [[0]])  # m < n
 
 
+def test_uncovered_facets_are_named_from_the_low_end():
+    # a facet count far past the ids in use is named, not listed: nothing of
+    # size m may be built
+    with pytest.raises(ComplexInputError) as info:
+        FaceComplex(2, 10**30, [[0, 1]])
+    assert str(info.value) == (
+        f"facets {list(range(2, 12))} and {10**30 - 12} more lie on no maximal face"
+    )
+    # up to ten are all listed, gaps included
+    for m, vertices, missing in (
+        (4, [[0, 1], [1, 2], [0, 2]], [3]),
+        (12, [[0, 1]], list(range(2, 12))),
+        (7, [[0, 5], [3, 5]], [1, 2, 4, 6]),
+    ):
+        with pytest.raises(ComplexInputError) as info:
+            FaceComplex(2, m, vertices)
+        assert str(info.value) == f"facets {missing} lie on no maximal face"
+
+
 def test_facet_degree():
     cube = make_cube()
     assert all(cube.facet_degree(i) == 4 for i in range(6))

@@ -90,12 +90,10 @@ def test_commands_load_only_the_modules_they_call(argv, loads):
 
 
 def test_enumerate_with_one_job_loads_no_process_pool():
-    # the pool's modules are imported only on the jobs > 1 branch
+    # enumeration is serial, so no path imports a process pool
     loaded = loaded_after(
         f"""
         import io
-        import os
-        os.environ.pop("TORQUO_THREADS", None)
         from torquo.cli import run
         argv = ["enumerate", {str(DATA / "cube.json")!r}, "--bound", "1", "--normalize"]
         assert run(argv, io.StringIO(), io.StringIO()) == 0
