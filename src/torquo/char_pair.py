@@ -10,6 +10,8 @@ face, component tag) triples.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import repeat
 from typing import Iterable
 
 from ._value import Value
@@ -55,22 +57,18 @@ class CharacteristicFunction(Value):
         object.__setattr__(self, "vectors", vectors)
 
     @classmethod
-    def _unchecked(
-        cls, rows_list: Iterable[tuple[IntVector, ...]]
-    ) -> list["CharacteristicFunction"]:
+    def _unchecked(cls, rows_list: list[tuple[IntVector, ...]]) -> list["CharacteristicFunction"]:
         """One function per entry of rows_list, built without __init__'s checks.
 
         Only for callers that made the rows themselves: each entry a
         nonempty tuple of tuples of exact ints, all of one length n >= 1.
-        Each function is made by object.__new__ and stores its one field
-        with one object.__setattr__, both bound once for the whole list.
+        The functions are made by one map of object.__new__ over the list's
+        length, and each stores its one field by a second map of
+        object.__setattr__, drained by a zero-length deque: both loops run
+        in C, with no Python frame per function.
         """
-        new, store = object.__new__, object.__setattr__
-        functions = []
-        for vectors in rows_list:
-            func = new(cls)
-            store(func, "vectors", vectors)
-            functions.append(func)
+        functions = list(map(object.__new__, repeat(cls, len(rows_list))))
+        deque(map(object.__setattr__, functions, repeat("vectors"), rows_list), maxlen=0)
         return functions
 
     @property

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 from ._value import Value
 from .char_pair import CharacteristicFunction, CharacteristicPair
 from .errors import DimensionError, PreconditionError
-from .face_complex import FaceComplex, isomorphisms
+from .face_complex import FaceComplex, _isomorphisms, isomorphisms
 from .lattice import IntMatrix, IntVector, UnimodularMatrix, extends_to_basis, is_primitive
 from .lattice import _annihilator_of, _reduce_to_identity
 
@@ -164,13 +164,15 @@ def equivalent(
     """Decide equivalence; return a verified witness or None.
 
     The first function's forms (see _forms) at every base sign vector D
-    are indexed by form.  For each complex isomorphism perm, in order, the
-    all-plus form of the second function along perm is looked up, and only
-    the D listed under it, in product order, give sigma = C diag(D) B^-1;
-    by the fact in _forms these are exactly the D whose sigma carries every
-    facet vector to +-its image.  The search is exhaustive over
-    (isomorphism, D), so None is a proof of inequivalence for the
-    requested mode.
+    are indexed by form.  For each complex isomorphism perm, in the
+    lexicographic order face_complex._isomorphisms generates them in, the
+    all-plus form of the second function along perm is looked up, and
+    only the D listed under it, in product order, give sigma = C diag(D)
+    B^-1; by the fact in _forms these are exactly the D whose sigma
+    carries every facet vector to +-its image.  The search is exhaustive
+    over (isomorphism, D), so None is a proof of inequivalence for the
+    requested mode; isomorphisms after the first witness are never
+    searched for.
     """
     if mode not in MODES:
         raise PreconditionError(f"mode must be one of {MODES}, got {mode!r}")
@@ -183,7 +185,7 @@ def equivalent(
     for form, signs in _forms(first.char.vectors, base):
         matches.setdefault(form, []).append(signs)
     base_rows = [first.char.vector(i) for i in base]
-    for perm in isomorphisms(first.complex, second.complex):
+    for perm in _isomorphisms(first.complex, second.complex):
         image = [second.char.vector(j) for j in perm]
         form, _ = next(_forms(image, base))
         for signs in matches.get(form, ()):
@@ -273,11 +275,13 @@ def _collect(
     once (lattice._annihilator_of): the last n - k columns of V with
     prefix @ V = [I | 0] span the prefix's annihilator, and box[j]
     completes the prefix exactly when the gcd of its dot products with
-    them is 1.  A prefix that does not extend gets an empty mask, and so
-    would k = n, because gcd() is 0.  Each answer sets bits j and top - j,
-    so each prefix is reduced at most once per call up to row signs, each
-    candidate is tested against it at most once, and nothing carries over
-    between calls.
+    them is 1.  They are read directly from the column reduction's V,
+    because the steps that turn its L into I never touch them.  A prefix
+    that does not extend gets an empty mask, and so would k = n, because
+    gcd() is 0.  Each answer sets bits j and top - j, so each prefix is
+    reduced at most once per call up to row signs, each candidate is
+    tested against it at most once, and nothing carries over between
+    calls.
 
     Options i and top - i of one facet (sign twins) have the same key, so
     they narrow the same targets to the same domains, and their subtrees

@@ -163,18 +163,29 @@ def isomorphisms(first: FaceComplex, second: FaceComplex) -> list[tuple[FacetId,
     """All facet bijections carrying maximal faces of one complex onto the other.
 
     Returned as tuples perm with perm[i] the image of facet i, sorted
-    lexicographically.  Degree and co-degree tables prune the backtracking;
-    the full maximal-face condition is checked before accepting.
+    lexicographically: the list of what _isomorphisms yields.
+    """
+    return list(_isomorphisms(first, second))
+
+
+def _isomorphisms(first: FaceComplex, second: FaceComplex) -> Iterator[tuple[FacetId, ...]]:
+    """Yield the facet bijections of isomorphisms in lexicographic order.
+
+    Degree and co-degree tables prune the backtracking; the full
+    maximal-face condition is checked before a bijection is yielded.
+    Images are tried in ascending order at each facet, so a caller that
+    stops at the first bijection it accepts gets the same one as a scan of
+    the full list, without the search for the rest.
     """
     if first.n != second.n or first.m != second.m:
-        return []
+        return
     if len(first.maximal_faces) != len(second.maximal_faces):
-        return []
+        return
     m = first.m
     deg1 = [first.facet_degree(i) for i in range(m)]
     deg2 = [second.facet_degree(i) for i in range(m)]
     if sorted(deg1) != sorted(deg2):
-        return []
+        return
 
     def pair_table(cx: FaceComplex) -> dict[tuple[int, int], int]:
         table: dict[tuple[int, int], int] = {}
@@ -187,14 +198,13 @@ def isomorphisms(first: FaceComplex, second: FaceComplex) -> list[tuple[FacetId,
     pair2 = pair_table(second)
     max2 = {f.facets for f in second.maximal_faces}
 
-    found: list[tuple[FacetId, ...]] = []
     image = [-1] * m
     used = [False] * m
 
-    def place(i: int) -> None:
+    def place(i: int) -> Iterator[tuple[FacetId, ...]]:
         if i == m:
             if all(tuple(sorted(image[j] for j in f.facets)) in max2 for f in first.maximal_faces):
-                found.append(tuple(image))
+                yield tuple(image)
             return
         for j in range(m):
             if used[j] or deg1[i] != deg2[j]:
@@ -210,9 +220,8 @@ def isomorphisms(first: FaceComplex, second: FaceComplex) -> list[tuple[FacetId,
                 continue
             image[i] = j
             used[j] = True
-            place(i + 1)
+            yield from place(i + 1)
             used[j] = False
             image[i] = -1
 
-    place(0)
-    return found
+    yield from place(0)

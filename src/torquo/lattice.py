@@ -103,7 +103,7 @@ class IntMatrix(Value):
             raise DimensionError(f"identity size n must be an integer, got {n!r}")
         if n < 1:
             raise DimensionError("identity needs n >= 1")
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls(_identity(n))
 
     @property
     def nrows(self) -> int:
@@ -318,7 +318,10 @@ class Sublattice(Value):
 
     @cached_property
     def _annihilator(self) -> tuple[IntVector, ...] | None:
-        """Last n - k columns of V with basis @ V = [I | 0]; None if unsaturated."""
+        """Last n - k columns of V with basis @ V = [I | 0]; None if unsaturated.
+
+        Read directly from the column reduction's V (see _annihilator_of).
+        """
         return _annihilator_of(self.basis, self.ambient)
 
 
@@ -338,8 +341,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, UnimodularMatrix, Unimod
     """
     nr, nc = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    vt = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    u, vt = _identity(nr), _identity(nc)
     while True:
         at = [list(col) for col in zip(*a)]
         _row_reduce(at, (vt,))
@@ -435,14 +437,23 @@ def _column_reduce(
     return work
 
 
+def _identity(n: int) -> list[list[int]]:
+    """The n x n identity as fresh mutable rows, for riders and matrices."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 def _reduce_to_identity(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
     """Unimodular V with rows @ V = [I | 0], or None if no such V exists.
 
     Column sign flips and then clearing below the diagonal, row by row,
-    turn the unit lower-triangular L of the column reduction into I.
+    turn the unit lower-triangular L of the column reduction into I.  Both
+    steps write only to columns i < k of V, so its last n - k columns are
+    those of the column reduction (see _annihilator_of).
     """
-    n = len(rows[0])
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = _identity(len(rows[0]))
     work = _column_reduce(rows, v)
     if work is None:
         return None
@@ -463,6 +474,9 @@ def _reduce_to_identity(rows: Sequence[Sequence[int]]) -> list[list[int]] | None
 def _annihilator_of(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVector, ...] | None:
     """Last n - k columns of V with rows @ V = [I | 0]; None if no such V exists.
 
+    They are read directly from the column reduction's V with rows @ V =
+    [L | 0]: the identity steps of _reduce_to_identity never touch them,
+    so they are the same tuples, and no rows (k = 0) leave the identity.
     They span the integer vectors orthogonal to the k rows.  An integer
     vector c completes rows that extend to a basis to k + 1 rows that do
     exactly when the gcd of its dot products with these columns is 1: the
@@ -470,12 +484,10 @@ def _annihilator_of(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVector, .
     entries of c @ V.  With k = n there are no columns and gcd() is 0, so
     nothing completes the rows, as it must.
     """
-    if not rows:
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    v = _reduce_to_identity(rows)
-    if v is None:
+    v = _identity(n)
+    if _column_reduce(rows, v) is None:
         return None
-    return tuple(tuple(row[j] for row in v) for j in range(len(rows), n))
+    return tuple(zip(*v))[len(rows) :]
 
 
 def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:

@@ -141,6 +141,61 @@ def test_random_relabeled_copies_are_recognized():
         assert verify_witness(pair, other, witness)
 
 
+def test_lazy_isomorphisms_give_the_witness_of_the_full_list(monkeypatch, corpus_pairs):
+    # equivalent stops generating isomorphisms at its first witness; that
+    # witness must be the one a scan of the full isomorphisms list gives,
+    # which is the witness of the first permutation that admits one
+    rng = random.Random(1811)
+    cases = []
+    for pair in corpus_pairs:
+        cases += [(pair, pair), (pair, relabeled_copy(rng, pair)), (pair, relabeled_copy(rng, pair))]
+        # relabeled along an automorphism with sigma = I, so strict mode
+        # finds witnesses past the first permutation too
+        perm = rng.choice(isomorphisms(pair.complex, pair.complex))
+        rows = [()] * pair.complex.m
+        for i, j in enumerate(perm):
+            sign = rng.choice((1, -1))
+            rows[j] = tuple(sign * x for x in pair.char.vector(i))
+        cases.append((pair, CharacteristicPair(pair.complex, CharacteristicFunction(pair.n, rows))))
+    cases += [(hirzebruch_pair(0), hirzebruch_pair(1)), (hirzebruch_pair(1), hirzebruch_pair(-1))]
+    lazy = {
+        (i, mode): equivalent(first, second, mode)
+        for i, (first, second) in enumerate(cases)
+        for mode in ("weak", "strict")
+    }
+    real = classify_module._isomorphisms
+    yielded = []
+
+    def counting(first, second):
+        for perm in real(first, second):
+            yielded[-1] += 1
+            yield perm
+
+    monkeypatch.setattr(classify_module, "_isomorphisms", counting)
+    found = 0
+    for (i, mode), witness in lazy.items():
+        first, second = cases[i]
+        yielded.append(0)
+        assert equivalent(first, second, mode) == witness
+        generated = yielded[-1]
+        full = isomorphisms(first.complex, second.complex)
+        # the same decision from the full list, one permutation at a time
+        first_hit = None
+        for index, perm in enumerate(full):
+            monkeypatch.setattr(classify_module, "_isomorphisms", lambda a, b: iter([perm]))
+            first_hit = equivalent(first, second, mode)
+            if first_hit is not None:
+                break
+        monkeypatch.setattr(classify_module, "_isomorphisms", counting)
+        assert first_hit == witness, (i, mode)
+        if witness is None:
+            assert generated == len(full)
+        else:
+            found += 1
+            assert witness.facet_map == full[index] and generated == index + 1
+    assert found >= 3 * len(corpus_pairs)
+
+
 def test_witness_inversion():
     first = hirzebruch_pair(2)
     second = hirzebruch_pair(-2)
@@ -505,6 +560,17 @@ def test_enumerated_functions_equal_checked_construction(make, bound, normalize)
         assert func.n == cx.n and vars(func) == vars(checked) == {"vectors": func.vectors}
         clone = pickle.loads(pickle.dumps(func))
         assert clone == func and clone.n == cx.n and repr(clone) == repr(func)
+
+
+def test_unchecked_construction_builds_one_function_per_entry():
+    assert CharacteristicFunction._unchecked([]) == []
+    rows_list = [((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1), (-1, 1)), ((2, 1), (1, 1), (1, 0))]
+    found = CharacteristicFunction._unchecked(rows_list)
+    assert len(found) == len(rows_list) == len({*map(id, found)})
+    for func, rows in zip(found, rows_list):
+        # the entry itself is stored, not a copy
+        assert type(func) is CharacteristicFunction and func.vectors is rows
+        assert func == CharacteristicFunction(2, rows) and vars(func) == {"vectors": rows}
 
 
 def test_enumeration_decides_each_face_tuple_once_per_call(monkeypatch):

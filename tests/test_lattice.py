@@ -19,6 +19,7 @@ from torquo.lattice import (
     TorusPoint,
     UnimodularMatrix,
     _annihilator_of,
+    _reduce_to_identity,
     complete_to_basis,
     extends_to_basis,
     hermite_rows,
@@ -526,6 +527,28 @@ def test_annihilator_completion_rule_matches_minor_oracle():
                         completes += got
                         rejects += not got
     assert completes > 2000 and rejects > 4000 and spoiled_count > 30
+
+
+def test_annihilator_is_read_off_the_column_reduction():
+    # the annihilator skips the steps that turn L into I, which write only
+    # to the first k columns of V, so its columns are the same tuples as
+    # the last n - k columns of the full reduction, and None on both sides
+    # for rows that do not extend (k = n + 1 among them)
+    rng = random.Random(1807)
+    extending = spoiled = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n + 1)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        v = _reduce_to_identity(rows)
+        expected = None if v is None else tuple(tuple(row[j] for row in v) for j in range(k, n))
+        got = _annihilator_of(rows, n)
+        assert got == expected, rows
+        assert got is None or all(type(col) is tuple for col in got)
+        extending += got is not None
+        spoiled += got is None
+    assert extending > 150 and spoiled > 150
+    assert _annihilator_of([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_subtorus_membership_well_defined_mod_one():
