@@ -47,7 +47,6 @@ _EXPORTS = {
     "UnimodularMatrix": "lattice",
     "complete_to_basis": "lattice",
     "extends_to_basis": "lattice",
-    "invariant_factors": "lattice",
     "is_primitive": "lattice",
     "lattice_member": "lattice",
     "smith_normal_form": "lattice",

@@ -3,10 +3,15 @@
 Exit codes: 0 for success or a true answer, 2 for a well-formed negative
 answer (invalid characteristic function, unequal points, no equivalence,
 failed map check), 1 for input errors of any kind.  Reports go to stdout
-as JSON with sorted keys; diagnostics go to stderr.  A negative report is
-raised as a private _Negative where it is found, and run() writes it and
-returns 2; only point-eq, whose two answers share one report, returns 2
-itself.
+as JSON with sorted keys; diagnostics go to stderr.
+
+A handler returns its positive report, raises a private _Negative that
+carries its negative report where the answer is found, or returns None
+(enumerate, which writes its own lines).  run() alone adds "command" to
+the report, writes it and chooses the exit code.  Problem files pass
+through _load in one order of stages: read and parse every file, check
+contractible_faces where the command needs it, build the pairs, validate
+them.  _in_file alone puts a file's path in front of an error found in it.
 
 Flag syntaxes not fixed by the file format:
 
@@ -14,7 +19,8 @@ Flag syntaxes not fixed by the file format:
   facet ids or "-" for the empty face;
 * --sigma: rows joined by ";", entries by ",", e.g. "1,0;0,-1";
 * --phi: a JSON mapfile, either {"facet_map": [j0, j1, ...]} or
-  {"face_map": [[[0], [1]], ...]} listing [source, image] facet tuples;
+  {"face_map": [[[0], [1]], ...]} listing [source, image] facet tuples,
+  each side a face, every source face exactly once; no other key;
 * --face: comma-joined facet ids, or "-" for the empty face.
 """
 
@@ -23,11 +29,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Any, NoReturn, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterator, NoReturn, Sequence
 
 from .char_pair import CharacteristicPair, ModelPoint
 from .errors import TorquoError
-from .face_complex import Face
+from .face_complex import Face, FaceComplex
 from .lattice import TorusPoint, UnimodularMatrix
 from .problemfile import (
     ProblemFile,
@@ -61,7 +68,16 @@ class _Negative(Exception):
 
 
 # ---------------------------------------------------------------------------
-# small parsers for flag syntaxes
+# reading files and flags
+
+
+@contextmanager
+def _in_file(path: str) -> Iterator[None]:
+    """Report a TorquoError raised inside as an input error about path."""
+    try:
+        yield
+    except TorquoError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _read_text(path: str) -> str:
@@ -69,28 +85,53 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
+        raise InputError(f"{exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise InputError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def _load_problem(path: str) -> ProblemFile:
-    text = _read_text(path)
-    try:
-        return parse_problem(text)
-    except TorquoError as exc:
-        raise InputError(f"{path}: {exc}") from None
+def _read_problem(path: str) -> ProblemFile:
+    with _in_file(path):
+        return parse_problem(_read_text(path))
 
 
-def _build_pair(problem: ProblemFile, path: str) -> CharacteristicPair:
-    try:
-        return problem.build_pair()
-    except TorquoError as exc:
-        raise InputError(f"{path}: {exc}") from None
+def _require_valid(pair: CharacteristicPair) -> None:
+    """Raise the negative validation report if the pair is invalid."""
+    violation = pair.first_violation()
+    if violation is not None:
+        raise _Negative(
+            {
+                "valid": False,
+                "violation_face": list(violation.facets),
+            }
+        )
 
 
-def _load_pair(path: str) -> CharacteristicPair:
-    return _build_pair(_load_problem(path), path)
+def _load(
+    *paths: str, contractible: bool = False
+) -> tuple[list[ProblemFile], list[CharacteristicPair]]:
+    """The problems and validated pairs of the files, one stage at a time.
+
+    Every file is read and parsed; then, if the command needs it, each is
+    checked for contractible_faces; then each pair is built; then each is
+    validated.  The first stage that fails answers, for the first file
+    that fails it.
+    """
+    problems = [_read_problem(path) for path in paths]
+    for path, problem in zip(paths, problems):
+        if contractible and not problem.contractible_faces:
+            with _in_file(path):
+                raise InputError(
+                    "contractible_faces is false; this command needs the "
+                    "contractible-faces hypothesis"
+                )
+    pairs = []
+    for path, problem in zip(paths, problems):
+        with _in_file(path):
+            pairs.append(problem.build_pair())
+    for pair in pairs:
+        _require_valid(pair)
+    return problems, pairs
 
 
 def _parse_face_flag(text: str) -> tuple[int, ...]:
@@ -135,18 +176,26 @@ def _parse_sigma_flag(text: str, n: int) -> UnimodularMatrix:
         raise InputError(f"matrix {text!r}: {exc}") from None
 
 
-def _load_skeletal(
-    path: str, source: CharacteristicPair, target: CharacteristicPair, command: str
-) -> SkeletalMap:
+def _load_skeletal(path: str, source: FaceComplex, target: FaceComplex) -> SkeletalMap:
+    """The mapfile's skeletal map; raises the not-skeletal negative where it is one.
+
+    Errors in the file itself leave without its path; the caller reads it
+    inside _in_file(path).
+    """
     from .morphism import SkeletalMap, check_skeletal
 
-    text = _read_text(path)
-    try:
-        data = _decode_json(text)
-    except TorquoError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    data = _decode_json(_read_text(path))
     if not isinstance(data, dict):
-        raise InputError(f"{path}: mapfile must be a JSON object")
+        raise InputError("mapfile must be a JSON object")
+    unknown = sorted(set(data) - {"facet_map", "face_map"})
+    if unknown:
+        raise InputError(f"unknown field {unknown[0]!r}")
+    if len(data) != 1:
+        raise InputError(
+            'mapfile has both "facet_map" and "face_map"'
+            if data
+            else 'mapfile needs "facet_map" or "face_map"'
+        )
     mapping: dict[Face, Face] = {}
     bad: Face | None = None
     if "facet_map" in data:
@@ -154,58 +203,57 @@ def _load_skeletal(
         if not isinstance(images, list) or any(
             isinstance(x, bool) or not isinstance(x, int) for x in images
         ):
-            raise InputError(f"{path}: \"facet_map\" must be a list of facet ids")
-        if len(images) != source.complex.m:
+            raise InputError("\"facet_map\" must be a list of facet ids")
+        if len(images) != source.m:
             raise InputError(
-                f"{path}: \"facet_map\" has {len(images)} entries for "
-                f"{source.complex.m} facets"
+                f"\"facet_map\" has {len(images)} entries for "
+                f"{source.m} facets"
             )
-        if any(x < 0 or x >= target.complex.m for x in images):
-            raise InputError(f"{path}: \"facet_map\" contains an out-of-range facet id")
-        for face in source.complex.faces:
+        if any(x < 0 or x >= target.m for x in images):
+            raise InputError("\"facet_map\" contains an out-of-range facet id")
+        for face in source.faces:
             key = tuple(sorted({images[i] for i in face.facets}))
-            if not target.complex.has_face(key):
+            if not target.has_face(key):
                 bad = face
                 break
             mapping[face] = Face(key)
-    elif "face_map" in data:
+    else:
         entries = data["face_map"]
         if not isinstance(entries, list):
-            raise InputError(f"{path}: \"face_map\" must be a list of [from, to] pairs")
+            raise InputError("\"face_map\" must be a list of [from, to] pairs")
         for i, item in enumerate(entries):
             if (
                 not isinstance(item, list)
                 or len(item) != 2
                 or not all(isinstance(side, list) for side in item)
             ):
-                raise InputError(f"{path}: \"face_map\"[{i}] must be [fromFacets, toFacets]")
+                raise InputError(f"\"face_map\"[{i}] must be [fromFacets, toFacets]")
             ids = [x for side in item for x in side]
             if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in ids):
-                raise InputError(
-                    f"{path}: \"face_map\"[{i}] must list nonnegative facet ids"
-                )
-            src = Face(tuple(sorted(set(item[0]))))
-            dst = Face(tuple(sorted(set(item[1]))))
-            mapping[src] = dst
-        missing = [f for f in source.complex.faces if f not in mapping]
+                raise InputError(f"\"face_map\"[{i}] must list nonnegative facet ids")
+            src, dst = sorted(item[0]), sorted(item[1])
+            # as for reps faces, a repeated facet id names no face
+            if len(set(src)) != len(src) or not source.has_face(src):
+                raise InputError(f"\"face_map\"[{i}] source {src} is not a face of the source")
+            if Face(src) in mapping:
+                raise InputError(f"\"face_map\"[{i}] repeats source face {src}")
+            if len(set(dst)) != len(dst) or not target.has_face(dst):
+                raise InputError(f"\"face_map\"[{i}] image {dst} is not a face of the target")
+            mapping[Face(src)] = Face(dst)
+        missing = [f for f in source.faces if f not in mapping]
         if missing:
-            raise InputError(
-                f"{path}: face_map is missing face {list(missing[0].facets)}"
-            )
-    else:
-        raise InputError(f"{path}: mapfile needs \"facet_map\" or \"face_map\"")
+            raise InputError(f"face_map is missing face {list(missing[0].facets)}")
     if bad is None:
-        bad = check_skeletal(source.complex, target.complex, mapping)
+        bad = check_skeletal(source, target, mapping)
     if bad is not None:
         raise _Negative(
             {
-                "command": command,
                 "ok": False,
                 "reason": "not-skeletal",
                 "violation_face": list(bad.facets),
             }
         )
-    return SkeletalMap(source.complex, target.complex, mapping)
+    return SkeletalMap(source, target, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -228,45 +276,17 @@ def _witness_json(witness: EquivalenceWitness) -> dict[str, Any]:
     }
 
 
-def _emit(report: dict[str, Any], out) -> None:
-    out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def _require_contractible(problem: ProblemFile, path: str) -> None:
-    if not problem.contractible_faces:
-        raise InputError(
-            f"{path}: contractible_faces is false; this command needs the "
-            "contractible-faces hypothesis"
-        )
-
-
-def _require_valid(pair: CharacteristicPair, command: str) -> None:
-    """Raise the negative validation report if the pair is invalid."""
-    violation = pair.first_violation()
-    if violation is not None:
-        raise _Negative(
-            {
-                "command": command,
-                "valid": False,
-                "violation_face": list(violation.facets),
-            }
-        )
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
 
-def _cmd_validate(args: argparse.Namespace, out) -> int:
-    pair = _load_pair(args.file)
-    _require_valid(pair, "validate")
-    _emit({"command": "validate", "valid": True}, out)
-    return EXIT_OK
+def _cmd_validate(args: argparse.Namespace, out) -> dict[str, Any]:
+    _load(args.file)
+    return {"valid": True}
 
 
-def _cmd_strata(args: argparse.Namespace, out) -> int:
-    pair = _load_pair(args.file)
-    _require_valid(pair, "strata")
+def _cmd_strata(args: argparse.Namespace, out) -> dict[str, Any]:
+    _, (pair,) = _load(args.file)
     rows = [
         {
             "face": list(s.face.facets),
@@ -276,69 +296,53 @@ def _cmd_strata(args: argparse.Namespace, out) -> int:
         }
         for s in pair.orbit_strata()
     ]
-    _emit(
-        {
-            "command": "strata",
-            "fixed_points": pair.fixed_point_count(),
-            "strata": rows,
-        },
-        out,
-    )
-    return EXIT_OK
+    return {
+        "fixed_points": pair.fixed_point_count(),
+        "strata": rows,
+    }
 
 
-def _cmd_isotropy(args: argparse.Namespace, out) -> int:
-    pair = _load_pair(args.file)
-    _require_valid(pair, "isotropy")
+def _cmd_isotropy(args: argparse.Namespace, out) -> dict[str, Any]:
+    _, (pair,) = _load(args.file)
     facets = _parse_face_flag(args.face)
     face = pair.complex.smallest_face(facets)
     lattice = pair.isotropy_lattice(face)
-    _emit(
-        {
-            "command": "isotropy",
-            "face": list(face.facets),
-            "rank": lattice.rank,
-            "basis": [list(row) for row in lattice.basis],
-        },
-        out,
-    )
-    return EXIT_OK
+    return {
+        "face": list(face.facets),
+        "rank": lattice.rank,
+        "basis": [list(row) for row in lattice.basis],
+    }
 
 
-def _cmd_point_eq(args: argparse.Namespace, out) -> int:
-    pair = _load_pair(args.file)
-    _require_valid(pair, "point-eq")
+def _cmd_point_eq(args: argparse.Namespace, out) -> dict[str, Any]:
+    _, (pair,) = _load(args.file)
     p = _parse_point_flag(args.p, pair.n)
     q = _parse_point_flag(args.q, pair.n)
-    equal = pair.points_equal(p, q)
-    _emit(
-        {
-            "command": "point-eq",
-            "equal": equal,
-            "p": _point_json(p),
-            "q": _point_json(q),
-        },
-        out,
-    )
-    return EXIT_OK if equal else EXIT_NEGATIVE
+    report = {
+        "equal": pair.points_equal(p, q),
+        "p": _point_json(p),
+        "q": _point_json(q),
+    }
+    if not report["equal"]:
+        raise _Negative(report)
+    return report
 
 
 def _checked_morphism(
-    args: argparse.Namespace, command: str, src: CharacteristicPair, dst: CharacteristicPair
+    args: argparse.Namespace, src: CharacteristicPair, dst: CharacteristicPair
 ) -> Morphism:
     """Build and fully check the morphism of map-check/homotopy-sample."""
     from .morphism import Morphism, check_compatibility
 
-    _require_valid(src, command)
-    _require_valid(dst, command)
     sigma = _parse_sigma_flag(args.sigma, src.n)
-    morphism = Morphism(sigma, _load_skeletal(args.phi, src, dst, command))
+    with _in_file(args.phi):
+        face_map = _load_skeletal(args.phi, src.complex, dst.complex)
+    morphism = Morphism(sigma, face_map)
     violation = check_compatibility(morphism, src, dst)
     if violation is not None:
         base, shifted = violation.source_points
         raise _Negative(
             {
-                "command": command,
                 "ok": False,
                 "reason": "incompatible",
                 "facet": violation.facet,
@@ -350,47 +354,31 @@ def _checked_morphism(
     return morphism
 
 
-def _cmd_map_check(args: argparse.Namespace, out) -> int:
-    src = _load_pair(args.source)
-    dst = _load_pair(args.target)
-    morphism = _checked_morphism(args, "map-check", src, dst)
-    _emit(
-        {
-            "command": "map-check",
-            "ok": True,
-            "sigma": [list(row) for row in morphism.torus_map.rows],
-            "skeletal": True,
-            "compatible": True,
-        },
-        out,
-    )
-    return EXIT_OK
+def _cmd_map_check(args: argparse.Namespace, out) -> dict[str, Any]:
+    _, (src, dst) = _load(args.source, args.target)
+    morphism = _checked_morphism(args, src, dst)
+    return {
+        "ok": True,
+        "sigma": [list(row) for row in morphism.torus_map.rows],
+        "skeletal": True,
+        "compatible": True,
+    }
 
 
-def _cmd_homotopy_sample(args: argparse.Namespace, out) -> int:
+def _cmd_homotopy_sample(args: argparse.Namespace, out) -> dict[str, Any]:
     from .morphism import check_reps_coherence, induced_map_apply, straight_line_homotopy_apply
 
-    src_problem = _load_problem(args.source)
-    _require_contractible(src_problem, args.source)
-    dst_problem = _load_problem(args.target)
-    _require_contractible(dst_problem, args.target)
-    src = _build_pair(src_problem, args.source)
-    dst = _build_pair(dst_problem, args.target)
-    morphism = _checked_morphism(args, "homotopy-sample", src, dst)
-    reps = src_problem.reps_table()
-    if reps is None:
-        raise InputError(f"{args.source}: document has no \"reps\" table")
-    missing = [f for f in src.complex.faces if f not in reps]
-    if missing:
-        raise InputError(
-            f"{args.source}: reps table is missing face {list(missing[0].facets)}"
-        )
-    incoherent = check_reps_coherence(morphism, dst, reps)
+    (src_problem, _), (src, dst) = _load(args.source, args.target, contractible=True)
+    morphism = _checked_morphism(args, src, dst)
+    with _in_file(args.source):
+        reps = src_problem.reps_table()
+        if reps is None:
+            raise InputError("document has no \"reps\" table")
+        incoherent = check_reps_coherence(morphism, dst, reps)
     if incoherent is not None:
         sub, face = incoherent
         raise _Negative(
             {
-                "command": "homotopy-sample",
                 "ok": False,
                 "reason": "incoherent-reps",
                 "covering_pair": [list(sub.facets), list(face.facets)],
@@ -405,44 +393,27 @@ def _cmd_homotopy_sample(args: argparse.Namespace, out) -> int:
         raise InputError(f"cannot read time {args.s!r}") from None
     image = straight_line_homotopy_apply(morphism, reps, point, s)
     start = induced_map_apply(morphism, point)
-    _emit(
-        {
-            "command": "homotopy-sample",
-            "ok": True,
-            "s": format_rational(s),
-            "point": _point_json(point),
-            "at_zero": _point_json(start),
-            "image": _point_json(image),
-        },
-        out,
-    )
-    return EXIT_OK
+    return {
+        "ok": True,
+        "s": format_rational(s),
+        "point": _point_json(point),
+        "at_zero": _point_json(start),
+        "image": _point_json(image),
+    }
 
 
-def _cmd_eq(args: argparse.Namespace, out) -> int:
+def _cmd_eq(args: argparse.Namespace, out) -> dict[str, Any]:
     from .classify import equivalent
 
-    first_problem = _load_problem(args.first)
-    second_problem = _load_problem(args.second)
-    _require_contractible(first_problem, args.first)
-    _require_contractible(second_problem, args.second)
-    first = _build_pair(first_problem, args.first)
-    second = _build_pair(second_problem, args.second)
-    _require_valid(first, "eq")
-    _require_valid(second, "eq")
+    _, (first, second) = _load(args.first, args.second, contractible=True)
     witness = equivalent(first, second, mode=args.mode)
     if witness is None:
-        raise _Negative({"command": "eq", "equivalent": False, "mode": args.mode})
-    _emit(
-        {
-            "command": "eq",
-            "equivalent": True,
-            "mode": args.mode,
-            "witness": _witness_json(witness),
-        },
-        out,
-    )
-    return EXIT_OK
+        raise _Negative({"equivalent": False, "mode": args.mode})
+    return {
+        "equivalent": True,
+        "mode": args.mode,
+        "witness": _witness_json(witness),
+    }
 
 
 class _RowTexts(dict):
@@ -467,11 +438,10 @@ def _function_line(index: int, vectors: Sequence[tuple[int, ...]], texts: _RowTe
     return f'{{"index": {index}, "lambda": [{", ".join(map(texts.__getitem__, vectors))}]}}\n'
 
 
-def _cmd_enumerate(args: argparse.Namespace, out) -> int:
+def _cmd_enumerate(args: argparse.Namespace, out) -> None:
     from .classify import enumerate_characteristic, weak_classes
 
-    problem = _load_problem(args.file)
-    complex_ = problem.build_complex()
+    complex_ = _read_problem(args.file).build_complex()
     if args.bound < 1:
         raise InputError("--bound must be >= 1")
     functions = enumerate_characteristic(complex_, args.bound, normalize=args.normalize)
@@ -481,27 +451,20 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     if args.group:
         summary["classes"] = weak_classes(complex_, functions)
     out.write(json.dumps(summary, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
-def _cmd_invariants(args: argparse.Namespace, out) -> int:
+def _cmd_invariants(args: argparse.Namespace, out) -> dict[str, Any]:
     from .classify import invariant_signature
 
-    pair = _load_pair(args.file)
-    _require_valid(pair, "invariants")
+    _, (pair,) = _load(args.file)
     sig = invariant_signature(pair)
-    _emit(
-        {
-            "command": "invariants",
-            "n": sig.n,
-            "facet_count": sig.facet_count,
-            "face_counts": list(sig.face_counts),
-            "vertex_dets": list(sig.vertex_dets),
-            "fixed_points": sig.fixed_points,
-        },
-        out,
-    )
-    return EXIT_OK
+    return {
+        "n": sig.n,
+        "facet_count": sig.facet_count,
+        "face_counts": list(sig.face_counts),
+        "vertex_dets": list(sig.vertex_dets),
+        "fixed_points": sig.fixed_points,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +562,21 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args, out)
+        report, code = args.handler(args, out), EXIT_OK
     except SystemExit:
         # argparse exits only after printing --help; usage errors raise InputError
         return EXIT_OK
     except _Negative as negative:
-        _emit(negative.report, out)
-        return EXIT_NEGATIVE
+        report, code = negative.report, EXIT_NEGATIVE
     except TorquoError as exc:
         # a path or flag value may hold a line break; the message stays one line
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
         err.write(f"error: {message}\n")
         return EXIT_INPUT
+    if report is not None:
+        report["command"] = args.command
+        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return code
 
 
 def main() -> None:

@@ -19,8 +19,7 @@ Conventions:
     R @ V = [I | 0], and the last n - k columns of V span the integer
     vectors orthogonal to R;
   - one Hermite row reduction answers lattice questions: the Hermite
-    basis, the determinant (sign of the row transform times the
-    diagonal), and the Smith form D = U @ M @ V, with U, V unimodular and
+    basis and the Smith form D = U @ M @ V, with U, V unimodular and
     nonnegative diagonal entries in divisibility order, by alternating it
     on columns and rows;
   - they stay apart because the column reduction stops at the first row
@@ -143,14 +142,6 @@ class IntMatrix(Value):
             raise DimensionError(f"vector length {len(v)} does not match {self.ncols} columns")
         return tuple(sum((a * b for a, b in zip(row, v)), start=Fraction(0)) for row in self.rows)
 
-    def det(self) -> int:
-        """Determinant: the transform's sign times the Hermite diagonal, 0 below full rank."""
-        if not self.is_square:
-            raise DimensionError("determinant of a non-square matrix")
-        work = [list(row) for row in self.rows]
-        top, sign = _row_reduce(work, ())
-        return 0 if top else sign * math.prod(work[i][i] for i in range(self.nrows))
-
 
 class UnimodularMatrix(IntMatrix):
     """Square integer matrix with determinant +1 or -1."""
@@ -219,8 +210,8 @@ class TorusPoint(Value):
 # Hermite form and sublattices
 
 
-def _row_reduce(work: list[list[int]], riders: Sequence[list[list[int]]]) -> tuple[int, int]:
-    """Bring the rows of work to Hermite form in place; return (top, sign).
+def _row_reduce(work: list[list[int]], riders: Sequence[list[list[int]]]) -> int:
+    """Bring the rows of work to Hermite form in place; return top.
 
     Columns are cleared right to left by Euclid steps among the rows that
     hold no pivot yet.  Each pivot row moves to the bottom of those rows
@@ -229,11 +220,10 @@ def _row_reduce(work: list[list[int]], riders: Sequence[list[list[int]]]) -> tup
     zero.  Among equal entries the Euclid base is the row nearest the
     bottom, so a bottom row already reduced to its pivot stays put; that
     keeps the alternation in smith_normal_form finite.  Each rider has one
-    row per row of work and takes the same row steps; sign is the
-    determinant of the row transform, -1 per swap and per negation.
+    row per row of work and takes the same row steps.
     """
     every = (work, *riders)
-    top, sign = len(work), 1
+    top = len(work)
     for col in reversed(range(len(work[0]))):
         live = [i for i in reversed(range(top)) if work[i][col]]
         if not live:
@@ -250,11 +240,9 @@ def _row_reduce(work: list[list[int]], riders: Sequence[list[list[int]]]) -> tup
         top -= 1
         (i,) = live
         if i != top:
-            sign = -sign
             for m in every:
                 m[i], m[top] = m[top], m[i]
         if work[top][col] < 0:
-            sign = -sign
             for m in every:
                 m[top] = [-a for a in m[top]]
         # later pivots touch only columns left of col, so this stays reduced
@@ -264,7 +252,7 @@ def _row_reduce(work: list[list[int]], riders: Sequence[list[list[int]]]) -> tup
             if q:
                 for m in every:
                     m[j] = [a - q * b for a, b in zip(m[j], m[top])]
-    return top, sign
+    return top
 
 
 def hermite_rows(rows: Iterable[Sequence[int]], ambient: int) -> tuple[IntVector, ...]:
@@ -279,7 +267,7 @@ def hermite_rows(rows: Iterable[Sequence[int]], ambient: int) -> tuple[IntVector
             raise DimensionError(f"row length {len(row)} does not match ambient {ambient}")
     if not work:
         return ()
-    top, _ = _row_reduce(work, ())
+    top = _row_reduce(work, ())
     return tuple(map(tuple, work[top:]))
 
 
@@ -346,7 +334,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, UnimodularMatrix, Unimod
         at = [list(col) for col in zip(*a)]
         _row_reduce(at, (vt,))
         a = [list(row) for row in zip(*at)]
-        top, _ = _row_reduce(a, (u,))
+        top = _row_reduce(a, (u,))
         if all(sum(map(bool, row)) < 2 for row in a):
             break
     cols = [next(j for j, x in enumerate(row) if x) for row in a[top:]]
@@ -375,11 +363,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, UnimodularMatrix, Unimod
         UnimodularMatrix(tuple(map(tuple, u))),
         UnimodularMatrix(tuple(zip(*vt))),
     )
-
-
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    d, _, _ = smith_normal_form(m)
-    return tuple(d.rows[i][i] for i in range(min(m.nrows, m.ncols)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 from ._value import Value
@@ -68,8 +69,17 @@ class ProblemFile(Value):
             return len(self.lambda_rows)
         return 1 + max(i for vertex in self.vertices for i in vertex)
 
-    def build_complex(self) -> FaceComplex:
+    @cached_property
+    def _complex(self) -> FaceComplex:
         return FaceComplex(self.n, self.facet_count, self.vertices)
+
+    def build_complex(self) -> FaceComplex:
+        """The document's complex, built on the first call and kept.
+
+        parse_problem builds it to check the reps faces, so the complex of a
+        parsed document is built once however many pairs are built from it.
+        """
+        return self._complex
 
     def build_pair(self) -> CharacteristicPair:
         if self.lambda_rows is None:

@@ -586,6 +586,38 @@ def test_map_check_facet_map_negatives_and_errors(tmp_path):
             "--sigma", "1,0;0,1",
         ) == (1, "", f"error: {mapfile}: {message}\n"), doc
 
+    # mapfiles are read as strictly as problem files: no face listed twice,
+    # no source or image that is not a face, one map, no unknown field
+    identity = [[face, face] for face in ([], [0], [1], [2], [0, 1], [0, 2], [1, 2])]
+    strict_errors = [
+        ({"face_map": identity + [[[0], [1]]]}, '"face_map"[7] repeats source face [0]'),
+        ({"face_map": [[[1, 0], [0, 1]]] + identity}, '"face_map"[5] repeats source face [0, 1]'),
+        ({"face_map": identity + [[[7, 8], [0]]]},
+         '"face_map"[7] source [7, 8] is not a face of the source'),
+        ({"face_map": identity + [[[0, 1, 2], [0]]]},
+         '"face_map"[7] source [0, 1, 2] is not a face of the source'),
+        ({"face_map": [[[0, 0], [0]]] + identity},
+         '"face_map"[0] source [0, 0] is not a face of the source'),
+        ({"face_map": identity[:6] + [[[1, 2], [5, 6]]]},
+         '"face_map"[6] image [5, 6] is not a face of the target'),
+        ({"face_map": identity[:6] + [[[1, 2], [2, 2]]]},
+         '"face_map"[6] image [2, 2] is not a face of the target'),
+        ({"facet_map": [0, 1, 2], "face_map": identity},
+         'mapfile has both "facet_map" and "face_map"'),
+        ({"face_map": identity, "color": 3}, "unknown field 'color'"),
+        ({"facet_map": [0, 1, 2], "note": ""}, "unknown field 'note'"),
+    ]
+    for i, (doc, message) in enumerate(strict_errors):
+        mapfile = tmp_path / f"strict{i}.json"
+        mapfile.write_text(json.dumps(doc), encoding="utf-8")
+        assert invoke(
+            "map-check",
+            path("triangle.json"),
+            path("triangle.json"),
+            "--phi", str(mapfile),
+            "--sigma", "1,0;0,1",
+        ) == (1, "", f"error: {mapfile}: {message}\n"), doc
+
 
 def test_map_check_sigma_errors():
     for bad in ("1,0;0", "a,b;c,d", "2,0;0,1", "1,0,0;0,1,0;0,0,1"):
@@ -763,6 +795,135 @@ def test_enumerate_input_errors():
     code, out, err = invoke("enumerate", path("triangle.json"), "--bound", "99999999999999999999")
     assert (code, out) == (1, "")
     assert err.startswith("error: bound is too large") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the request path: which check answers first, and how often a file is read
+
+
+def _request_files(tmp_path) -> dict[str, str]:
+    """Problem files for the precedence table, by the role they play."""
+    doc = json.loads((DATA / "triangle.json").read_text(encoding="utf-8"))
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps(dict(doc, contractible_faces=False)), encoding="utf-8")
+    bare = tmp_path / "no_lambda.json"
+    bare.write_text(json.dumps({k: v for k, v in doc.items() if k != "lambda"}), encoding="utf-8")
+    return {
+        "square": path("square_l0.json"),
+        "bad_lambda": path("square_bad_lambda.json"),
+        "flat": str(flat),
+        "no_lambda": str(bare),
+        "malformed": path("malformed.json"),
+        "missing": str(tmp_path / "missing.json"),
+    }
+
+
+_NOT_CONTRACTIBLE = (
+    "contractible_faces is false; this command needs the contractible-faces hypothesis"
+)
+_BAD_LAMBDA_REPORT = {"valid": False, "violation_face": [1, 2]}
+
+# (command, first, second, sigma, answer); the answer is (exit code, the file
+# the one error line names, its message) or (2, the negative report without
+# "command").  Stages run parse, contractible check, build, validate, for
+# every file before the next stage; flags and the mapfile come after that.
+PRECEDENCE = [
+    # an invalid pair does not answer before the other file is read
+    ("map-check", "bad_lambda", "missing", "1,0;0,1", (1, "missing", "No such file or directory")),
+    ("homotopy-sample", "bad_lambda", "missing", "1,0;0,1",
+     (1, "missing", "No such file or directory")),
+    ("eq", "bad_lambda", "missing", None, (1, "missing", "No such file or directory")),
+    # validation answers before --sigma is read
+    ("map-check", "bad_lambda", "square", "2,0;0,1", (2, _BAD_LAMBDA_REPORT)),
+    ("map-check", "square", "bad_lambda", "a,b;c,d", (2, _BAD_LAMBDA_REPORT)),
+    ("homotopy-sample", "bad_lambda", "square", "2,0;0,1", (2, _BAD_LAMBDA_REPORT)),
+    ("homotopy-sample", "square", "bad_lambda", "1,0", (2, _BAD_LAMBDA_REPORT)),
+    # every file is parsed before any contractible_faces check
+    ("map-check", "flat", "missing", "1,0;0,1", (1, "missing", "No such file or directory")),
+    ("homotopy-sample", "flat", "missing", "1,0;0,1",
+     (1, "missing", "No such file or directory")),
+    ("eq", "flat", "missing", None, (1, "missing", "No such file or directory")),
+    # every file is parsed before any pair is built
+    ("map-check", "no_lambda", "malformed", "1,0;0,1",
+     (1, "malformed", "line 2, column 1: Expecting ',' delimiter")),
+    ("homotopy-sample", "no_lambda", "malformed", "1,0;0,1",
+     (1, "malformed", "line 2, column 1: Expecting ',' delimiter")),
+    ("eq", "no_lambda", "malformed", None,
+     (1, "malformed", "line 2, column 1: Expecting ',' delimiter")),
+    # contractible_faces before building, building before validation
+    ("homotopy-sample", "no_lambda", "flat", "1,0;0,1", (1, "flat", _NOT_CONTRACTIBLE)),
+    ("eq", "no_lambda", "flat", None, (1, "flat", _NOT_CONTRACTIBLE)),
+    ("eq", "flat", "bad_lambda", None, (1, "flat", _NOT_CONTRACTIBLE)),
+    ("map-check", "flat", "bad_lambda", "1,0;0,1", (2, _BAD_LAMBDA_REPORT)),
+    ("map-check", "bad_lambda", "no_lambda", "1,0;0,1",
+     (1, "no_lambda", 'document has no "lambda" matrix')),
+    ("eq", "bad_lambda", "no_lambda", None, (1, "no_lambda", 'document has no "lambda" matrix')),
+]
+
+
+@pytest.mark.parametrize(
+    "command, first, second, sigma, answer",
+    PRECEDENCE,
+    ids=[f"{row[0]}-{row[1]}-{row[2]}" for row in PRECEDENCE],
+)
+def test_request_stages_answer_in_one_order(tmp_path, command, first, second, sigma, answer):
+    files = _request_files(tmp_path)
+    argv = [command, files[first], files[second]]
+    if command != "eq":
+        argv += ["--phi", path("map_identity3.json"), "--sigma", sigma]
+    if command == "homotopy-sample":
+        argv += ["--point", "0,0@-", "--s", "0"]
+    code, out, err = invoke(*argv)
+    if answer[0] == 2:
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"command": command, **answer[1]}
+    else:
+        _, named, message = answer
+        assert (code, out, err) == (1, "", f"error: {files[named]}: {message}\n")
+
+
+# one case per subcommand, and negatives of the two-file commands
+COUNTED = [
+    (["validate", "triangle.json"], 0),
+    (["validate", "square_bad_lambda.json"], 2),
+    (["strata", "triangle.json"], 0),
+    (["isotropy", "triangle.json", "--face", "0"], 0),
+    (["point-eq", "triangle.json", "--p", "0,0@0", "--q", "0,1/2@0"], 2),
+    (["map-check", "square_l1.json", "square_lm1.json", "--phi", "map_identity4.json",
+      "--sigma", "1,0;0,-1"], 0),
+    (["map-check", "square_l1.json", "square_lm1.json", "--phi", "map_identity4.json",
+      "--sigma", "1,0;0,1"], 2),
+    (["homotopy-sample", "triangle.json", "triangle.json", "--phi", "map_identity3.json",
+      "--sigma", "1,0;0,1", "--point", "1/3,1/4@0", "--s", "1/2"], 0),
+    (["eq", "square_l1.json", "square_lm1.json"], 0),
+    (["eq", "square_l0.json", "square_l1.json"], 2),
+    (["enumerate", "triangle.json", "--bound", "1", "--group"], 0),
+    (["invariants", "triangle.json"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, expected", COUNTED, ids=[f"{a[0]}-{code}" for a, code in COUNTED])
+def test_each_problem_file_is_parsed_and_built_once(argv, expected, monkeypatch):
+    import torquo.cli
+    from torquo.face_complex import FaceComplex
+
+    counts = {"parse_problem": 0, "FaceComplex": 0}
+    parse, build = torquo.cli.parse_problem, FaceComplex.__init__
+
+    def counting_parse(text):
+        counts["parse_problem"] += 1
+        return parse(text)
+
+    def counting_build(self, *args, **kwargs):
+        counts["FaceComplex"] += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(torquo.cli, "parse_problem", counting_parse)
+    monkeypatch.setattr(FaceComplex, "__init__", counting_build)
+    problems = [a for a in argv if a.endswith(".json") and not a.startswith("map_")]
+    code, _, err = invoke(*(path(a) if a.endswith(".json") else a for a in argv))
+    assert (code, err) == (expected, "")
+    assert counts == {"parse_problem": len(problems), "FaceComplex": len(problems)}
 
 
 # ---------------------------------------------------------------------------
