@@ -9,12 +9,24 @@ compares instances of exactly the same class by their _values, hashes
 that tuple, prints it as Name(field=value, ...) and refuses assignment
 and deletion.
 
-Stored fields live in the instance __dict__, so functools.cached_property
-works, and default pickling, which restores __dict__ without calling
-__setattr__, round-trips an instance.  They are stored with
-object.__setattr__, not through self.__dict__: CPython 3.11+ keeps
-attributes inline until __dict__ is read, and a dict object per instance
-made the garbage collector run 1.7x as often over enumerate's results.
+Stored fields live in __slots__: Value and OrderedValue declare none, and
+each subclass lists the fields it stores (CharacteristicFunction lists
+only "vectors"; UnimodularMatrix adds none to IntMatrix's "rows").  An
+instance then has no per-instance attribute store, which on CPython 3.11
+saves one values array per instance, and enumerate builds thousands of
+CharacteristicFunction instances per call.  Fields are stored with
+object.__setattr__, or with the slot's own descriptor, since the class's
+__setattr__ refuses.
+
+Sublattice and ProblemFile keep "__dict__" among their slots, because
+functools.cached_property stores its result there (Sublattice._annihilator,
+ProblemFile._complex); their fields are still slots, and the dict holds
+only those caches.
+
+Pickling, copy and deepcopy go through the constructor: __reduce__
+returns (type(self), self._values), and each class's _fields are its
+constructor's parameters in order.  So an unpickled value passes the same
+checks as a new one, and a cache is never carried across.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from operator import attrgetter
 class Value:
     """Immutable record: equality, hash and repr over the _fields tuple."""
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
@@ -46,6 +59,9 @@ class Value:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{self.__class__.__qualname__}({fields})"
 
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), self._values
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -55,6 +71,8 @@ class Value:
 
 class OrderedValue(Value):
     """A Value that also orders instances of one class by their field tuples."""
+
+    __slots__ = ()
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

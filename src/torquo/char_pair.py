@@ -36,11 +36,12 @@ class CharacteristicFunction(Value):
     Primitivity of each vector is part of validity and surfaces as a
     violation at the singleton face of the offending facet.
 
-    Only vectors is stored: once the checks pass, n is the length of the
-    first vector.  _fields still names both, so equality, hash, repr and
-    pickling see (n, vectors).
+    Only vectors is stored, in the class's one slot: once the checks pass,
+    n is the length of the first vector.  _fields still names both, so
+    equality, hash, repr and pickling see (n, vectors).
     """
 
+    __slots__ = ("vectors",)
     _fields = ("n", "vectors")
     vectors: tuple[IntVector, ...]
 
@@ -63,12 +64,13 @@ class CharacteristicFunction(Value):
         Only for callers that made the rows themselves: each entry a
         nonempty tuple of tuples of exact ints, all of one length n >= 1.
         The functions are made by one map of object.__new__ over the list's
-        length, and each stores its one field by a second map of
-        object.__setattr__, drained by a zero-length deque: both loops run
-        in C, with no Python frame per function.
+        length, and each entry goes into its function's one slot by a second
+        map of the slot descriptor's __set__, drained by a zero-length
+        deque: both loops run in C, with no Python frame per function.  The
+        entry itself is stored, not a copy.
         """
         functions = list(map(object.__new__, repeat(cls, len(rows_list))))
-        deque(map(object.__setattr__, functions, repeat("vectors"), rows_list), maxlen=0)
+        deque(map(cls.vectors.__set__, functions, rows_list), maxlen=0)
         return functions
 
     @property
@@ -93,6 +95,7 @@ class ModelPoint(Value):
     bookkeeping that must simply agree between compared points.
     """
 
+    __slots__ = ("t", "face", "tag")
     _fields = ("t", "face", "tag")
     t: TorusPoint
     face: Face
@@ -107,6 +110,7 @@ class ModelPoint(Value):
 class Stratum(Value):
     """One orbit-type stratum of the canonical model."""
 
+    __slots__ = ("face", "codim", "isotropy_rank", "orbit_dim")
     _fields = ("face", "codim", "isotropy_rank", "orbit_dim")
     face: Face
     codim: int

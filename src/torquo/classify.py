@@ -38,6 +38,7 @@ MODES = ("strict", "weak")
 class EquivalenceWitness(Value):
     """Certificate of equivalence; verifiable by substitution."""
 
+    __slots__ = ("facet_map", "torus_map", "signs")
     _fields = ("facet_map", "torus_map", "signs")
     facet_map: tuple[int, ...]
     torus_map: UnimodularMatrix
@@ -54,6 +55,7 @@ class EquivalenceWitness(Value):
 class InvariantSignature(Value):
     """Counts preserved by every equivalence, as the invariants command reports them."""
 
+    __slots__ = ("n", "facet_count", "face_counts", "vertex_dets", "fixed_points")
     _fields = ("n", "facet_count", "face_counts", "vertex_dets", "fixed_points")
     n: int
     facet_count: int

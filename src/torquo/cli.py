@@ -30,7 +30,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Sequence
 
 from .char_pair import CharacteristicPair, ModelPoint
 from .errors import TorquoError
@@ -139,9 +139,13 @@ def _parse_face_flag(text: str) -> tuple[int, ...]:
     if text in ("-", ""):
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        facets = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InputError(f"cannot read face {text!r}") from None
+    # as for reps and mapfile faces, a repeated facet id names no face
+    if len(set(facets)) != len(facets):
+        raise InputError(f"face {text!r} repeats a facet id")
+    return facets
 
 
 def _parse_point_flag(text: str, n: int) -> ModelPoint:
@@ -156,8 +160,7 @@ def _parse_point_flag(text: str, n: int) -> ModelPoint:
         coords = tuple(_fraction(part.strip()) for part in parts)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot read coordinates in point {text!r}") from None
-    facets = _parse_face_flag(face_text)
-    return ModelPoint(TorusPoint(coords), Face(tuple(sorted(set(facets)))), tag)
+    return ModelPoint(TorusPoint(coords), Face(sorted(_parse_face_flag(face_text))), tag)
 
 
 def _parse_sigma_flag(text: str, n: int) -> UnimodularMatrix:
@@ -253,7 +256,7 @@ def _load_skeletal(path: str, source: FaceComplex, target: FaceComplex) -> Skele
                 "violation_face": list(bad.facets),
             }
         )
-    return SkeletalMap(source, target, mapping)
+    return SkeletalMap._unchecked(source, target, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -491,68 +494,75 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_Argument = tuple[str, dict[str, Any]]
+
+
+def _arg(name: str, **options: Any) -> _Argument:
+    return name, options
+
+
+_FILE = _arg("file")
+_PHI = _arg("--phi", required=True, help="mapfile (JSON)")
+_SIGMA = _arg("--sigma", required=True, help='matrix rows "a,b;c,d"')
+_POINT_HELP = 'point as "COORDS@FACE[#TAG]"'
+
+# name -> (help, handler, arguments), in the order top-level --help lists them
+_COMMANDS: dict[str, tuple[str, Callable[..., Any], tuple[_Argument, ...]]] = {
+    "validate": ("check the basis condition at every face", _cmd_validate, (_FILE,)),
+    "strata": ("orbit-type strata of the canonical model", _cmd_strata, (_FILE,)),
+    "isotropy": ("isotropy lattice basis of a face", _cmd_isotropy, (
+        _FILE,
+        _arg("--face", required=True, help='comma-joined facet ids, "-" for empty'),
+    )),
+    "point-eq": ("decide equality of two model points", _cmd_point_eq, (
+        _FILE,
+        _arg("--p", required=True, help=_POINT_HELP),
+        _arg("--q", required=True, help=_POINT_HELP),
+    )),
+    "map-check": ("skeletality and compatibility of a morphism", _cmd_map_check, (
+        _arg("source"), _arg("target"), _PHI, _SIGMA,
+    )),
+    "homotopy-sample": ("evaluate the straight-line homotopy at a point", _cmd_homotopy_sample, (
+        _arg("source"),
+        _arg("target"),
+        _PHI,
+        _SIGMA,
+        _arg("--point", required=True, help=_POINT_HELP),
+        _arg("--s", required=True, help='time in [0,1], e.g. "1/2"'),
+    )),
+    "eq": ("decide equivalence of two characteristic pairs", _cmd_eq, (
+        _arg("first"), _arg("second"), _arg("--mode", choices=("strict", "weak"), default="weak"),
+    )),
+    "enumerate": ("list valid characteristic functions", _cmd_enumerate, (
+        _FILE,
+        _arg("--bound", type=int, required=True, help="max absolute entry"),
+        _arg("--normalize", action="store_true"),
+        _arg("--group", action="store_true"),
+    )),
+    "invariants": ("signature of a validated pair", _cmd_invariants, (_FILE,)),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv: only its subcommand's subparser when argv[0] names one.
+
+    Any other argv (none, a leading option, an unknown name) gets the full
+    tree, so top-level help and every usage error read as they always
+    have; a subcommand's help and errors do not depend on its siblings.
+    """
     parser = _Parser(
         prog="torquo",
         description="Characteristic pairs over face complexes: validation, "
         "orbit structure, induced maps, equivalence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the basis condition at every face")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("strata", help="orbit-type strata of the canonical model")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_strata)
-
-    p = sub.add_parser("isotropy", help="isotropy lattice basis of a face")
-    p.add_argument("file")
-    p.add_argument("--face", required=True, help='comma-joined facet ids, "-" for empty')
-    p.set_defaults(handler=_cmd_isotropy)
-
-    p = sub.add_parser("point-eq", help="decide equality of two model points")
-    p.add_argument("file")
-    p.add_argument("--p", required=True, help='point as "COORDS@FACE[#TAG]"')
-    p.add_argument("--q", required=True, help='point as "COORDS@FACE[#TAG]"')
-    p.set_defaults(handler=_cmd_point_eq)
-
-    p = sub.add_parser("map-check", help="skeletality and compatibility of a morphism")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--phi", required=True, help="mapfile (JSON)")
-    p.add_argument("--sigma", required=True, help='matrix rows "a,b;c,d"')
-    p.set_defaults(handler=_cmd_map_check)
-
-    p = sub.add_parser(
-        "homotopy-sample", help="evaluate the straight-line homotopy at a point"
-    )
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--phi", required=True, help="mapfile (JSON)")
-    p.add_argument("--sigma", required=True, help='matrix rows "a,b;c,d"')
-    p.add_argument("--point", required=True, help='point as "COORDS@FACE[#TAG]"')
-    p.add_argument("--s", required=True, help='time in [0,1], e.g. "1/2"')
-    p.set_defaults(handler=_cmd_homotopy_sample)
-
-    p = sub.add_parser("eq", help="decide equivalence of two characteristic pairs")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--mode", choices=("strict", "weak"), default="weak")
-    p.set_defaults(handler=_cmd_eq)
-
-    p = sub.add_parser("enumerate", help="list valid characteristic functions")
-    p.add_argument("file")
-    p.add_argument("--bound", type=int, required=True, help="max absolute entry")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--group", action="store_true")
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("invariants", help="signature of a validated pair")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_invariants)
-
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg_name, options in arguments:
+            p.add_argument(arg_name, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -560,8 +570,9 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     """Entry point used by tests; returns the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         report, code = args.handler(args, out), EXIT_OK
     except SystemExit:
         # argparse exits only after printing --help; usage errors raise InputError

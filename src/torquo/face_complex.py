@@ -25,6 +25,7 @@ _NAMED_MISSING = 10
 class Face(OrderedValue):
     """A face, encoded by the strictly increasing tuple of facets containing it."""
 
+    __slots__ = ("facets",)
     _fields = ("facets",)
     facets: tuple[FacetId, ...]
 

@@ -82,6 +82,7 @@ def _as_rational(x: object) -> Fraction:
 class IntMatrix(Value):
     """Immutable integer matrix, row-major."""
 
+    __slots__ = ("rows",)
     _fields = ("rows",)
     rows: tuple[IntVector, ...]
 
@@ -146,6 +147,8 @@ class IntMatrix(Value):
 class UnimodularMatrix(IntMatrix):
     """Square integer matrix with determinant +1 or -1."""
 
+    __slots__ = ()
+
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
         super().__init__(rows)
         if not self.is_square:
@@ -170,6 +173,7 @@ class UnimodularMatrix(IntMatrix):
 class TorusPoint(Value):
     """Point of T^n = R^n / Z^n, coordinates normalized into [0, 1)."""
 
+    __slots__ = ("coords",)
     _fields = ("coords",)
     coords: RationalVector
 
@@ -272,8 +276,13 @@ def hermite_rows(rows: Iterable[Sequence[int]], ambient: int) -> tuple[IntVector
 
 
 class Sublattice(Value):
-    """Sublattice of Z^ambient, stored by its Hermite row basis."""
+    """Sublattice of Z^ambient, stored by its Hermite row basis.
 
+    Its slots keep "__dict__", which holds only the cached _annihilator
+    (functools.cached_property needs an instance dict).
+    """
+
+    __slots__ = ("ambient", "basis", "__dict__")
     _fields = ("ambient", "basis")
     ambient: int
     basis: tuple[IntVector, ...]

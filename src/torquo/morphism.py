@@ -71,6 +71,21 @@ class SkeletalMap:
         self.target = target
         self._mapping = {face: mapping[face] for face in source.faces}
 
+    @classmethod
+    def _unchecked(
+        cls, source: FaceComplex, target: FaceComplex, mapping: Mapping[Face, Face]
+    ) -> "SkeletalMap":
+        """The map of a mapping that check_skeletal has already passed.
+
+        Only for callers that ran check_skeletal on this very mapping; it
+        is not run again.
+        """
+        skeletal = object.__new__(cls)
+        skeletal.source = source
+        skeletal.target = target
+        skeletal._mapping = {face: mapping[face] for face in source.faces}
+        return skeletal
+
     def __getitem__(self, face: Face) -> Face:
         try:
             return self._mapping[face]
@@ -124,6 +139,7 @@ def identity_skeletal(cx: FaceComplex) -> SkeletalMap:
 class Morphism(Value):
     """Torus automorphism plus skeletal map; the raw data of an induced map."""
 
+    __slots__ = ("torus_map", "face_map")
     _fields = ("torus_map", "face_map")
     torus_map: UnimodularMatrix
     face_map: SkeletalMap
@@ -167,6 +183,7 @@ class CompatibilityViolation(Value):
     exists.
     """
 
+    __slots__ = ("facet", "source_points")
     _fields = ("facet", "source_points")
     facet: int
     source_points: tuple[ModelPoint, ModelPoint]

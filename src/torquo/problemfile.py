@@ -35,9 +35,14 @@ RepsTable = tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]
 
 
 class ProblemFile(Value):
-    """Parsed and canonicalized problem document."""
+    """Parsed and canonicalized problem document.
+
+    Its slots keep "__dict__", which holds only the cached _complex
+    (functools.cached_property needs an instance dict).
+    """
 
     _fields = ("n", "facet_names", "vertices", "lambda_rows", "contractible_faces", "reps")
+    __slots__ = (*_fields, "__dict__")
     n: int
     facet_names: tuple[str, ...] | None
     vertices: tuple[tuple[int, ...], ...]

@@ -556,8 +556,11 @@ def test_enumerated_functions_equal_checked_construction(make, bound, normalize)
         assert type(func.vectors) is tuple
         assert all(type(row) is tuple and len(row) == func.n for row in func.vectors)
         assert all(type(x) is int for row in func.vectors for x in row)
-        # n is read off the vectors, which are the one stored field
-        assert func.n == cx.n and vars(func) == vars(checked) == {"vectors": func.vectors}
+        # n is read off the vectors, which are the one stored field: the
+        # class's one slot, with no instance dict beside it
+        assert func.n == cx.n and type(func).__slots__ == ("vectors",)
+        assert not hasattr(func, "__dict__") and not hasattr(checked, "__dict__")
+        assert checked.vectors == func.vectors
         clone = pickle.loads(pickle.dumps(func))
         assert clone == func and clone.n == cx.n and repr(clone) == repr(func)
 
@@ -570,7 +573,8 @@ def test_unchecked_construction_builds_one_function_per_entry():
     for func, rows in zip(found, rows_list):
         # the entry itself is stored, not a copy
         assert type(func) is CharacteristicFunction and func.vectors is rows
-        assert func == CharacteristicFunction(2, rows) and vars(func) == {"vectors": rows}
+        assert func == CharacteristicFunction(2, rows) and not hasattr(func, "__dict__")
+    assert CharacteristicFunction.__slots__ == ("vectors",)
 
 
 def test_enumeration_decides_each_face_tuple_once_per_call(monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torquo.cli import _function_line, _RowTexts, run
+from torquo.cli import InputError, _build_parser, _function_line, _RowTexts, run
 from torquo.errors import ProblemFileError
 from torquo.problemfile import (
     format_rational,
@@ -347,6 +347,26 @@ def test_point_eq_respects_tags():
     assert json.loads(out)["q"]["tag"] == ""
 
 
+REPEATED_IDS = {
+    "isotropy": ["isotropy", "triangle.json", "--face", "0,0"],
+    "point-eq-p": ["point-eq", "triangle.json", "--p", "0,0@0,0", "--q", "0,0@0"],
+    "point-eq-q": ["point-eq", "triangle.json", "--p", "0,0@0", "--q", "0,0@1,0,1"],
+    "homotopy-sample": [
+        "homotopy-sample", "triangle.json", "triangle.json", "--phi", "map_identity3.json",
+        "--sigma", "1,0;0,1", "--point", "1/3,1/4@0,0", "--s", "1/2",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", REPEATED_IDS.values(), ids=REPEATED_IDS)
+def test_repeated_facet_ids_in_flags_are_input_errors(argv):
+    # as in reps and mapfile faces, a repeated facet id names no face
+    code, out, err = invoke(*(path(a) if a.endswith(".json") else a for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: face '") and "repeats a facet id" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_point_eq_bad_syntax_is_an_input_error():
     for bad in ("1/2@0", "1/2,0", "a,b@0", "1/2,0@x"):
         code, out, err = invoke("point-eq", path("triangle.json"), "--p", bad, "--q", "0,0@-")
@@ -617,6 +637,24 @@ def test_map_check_facet_map_negatives_and_errors(tmp_path):
             "--phi", str(mapfile),
             "--sigma", "1,0;0,1",
         ) == (1, "", f"error: {mapfile}: {message}\n"), doc
+
+
+def test_map_check_checks_the_skeletal_map_once(monkeypatch):
+    import torquo.morphism
+
+    check, calls = torquo.morphism.check_skeletal, []
+
+    def counting_check(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(torquo.morphism, "check_skeletal", counting_check)
+    code, out, err = invoke(
+        "map-check", path("square_l1.json"), path("square_lm1.json"),
+        "--phi", path("map_identity4.json"), "--sigma", "1,0;0,-1",
+    )
+    assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+    assert len(calls) == 1
 
 
 def test_map_check_sigma_errors():
@@ -1048,6 +1086,47 @@ def test_exponent_rationals_are_input_errors(tmp_path, exponent):
 def test_help_exits_zero(capsys):
     assert run(["enumerate", "--help"], io.StringIO(), io.StringIO()) == 0
     assert capsys.readouterr().out.startswith("usage: torquo enumerate")
+
+
+SUBCOMMANDS = [
+    "validate", "strata", "isotropy", "point-eq", "map-check",
+    "homotopy-sample", "eq", "enumerate", "invariants",
+]
+
+
+def _full_tree_reply(argv: list[str], capsys) -> tuple[str, str]:
+    """What the parser with every subcommand prints or raises for argv."""
+    try:
+        _build_parser([]).parse_args(argv)
+    except SystemExit:
+        return capsys.readouterr().out, ""
+    except InputError as exc:
+        return "", str(exc)
+    raise AssertionError(f"{argv} parsed without error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--help"] for name in SUBCOMMANDS]
+    + [[name] for name in SUBCOMMANDS]
+    + [
+        ["isotropy", "f.json"],
+        ["validate", "f.json", "--bogus"],
+        ["eq", "a.json", "b.json", "--mode", "loose"],
+        ["enumerate", "f.json", "--bound", "abc"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_one_subcommand_parser_answers_as_the_full_tree(argv, capsys, monkeypatch):
+    # a known first word builds only its subparser; help texts and usage
+    # errors must read as the full tree's do
+    monkeypatch.setenv("COLUMNS", "80")
+    assert len(_build_parser(argv)._subparsers._group_actions[0].choices) == 1
+    expected_out, expected_message = _full_tree_reply(argv, capsys)
+    code, out, err = invoke(*argv)
+    assert (out, err) == ("", f"error: {expected_message}\n" if expected_message else "")
+    assert code == (1 if expected_message else 0)
+    assert capsys.readouterr().out == expected_out
 
 
 def test_console_entry_point_runs():

@@ -1,13 +1,17 @@
-"""The value classes: construction, equality, hash, repr, order, immutability, pickling."""
+"""The value classes: construction, equality, hash, repr, order, immutability, slots, pickling."""
 
 from __future__ import annotations
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import torquo
+from torquo._value import OrderedValue, Value
 from torquo.char_pair import CharacteristicFunction, ModelPoint, Stratum
 from torquo.classify import EquivalenceWitness, InvariantSignature
 from torquo.errors import ComplexInputError, DimensionError, PreconditionError
@@ -62,6 +66,28 @@ def samples():
     ]
 
 
+# cached_property needs an instance dict; these keep "__dict__" in their slots
+KEEP_A_DICT = {Sublattice, ProblemFile}
+
+
+def value_classes() -> set[type]:
+    """Every Value subclass in the package, after importing all its modules."""
+    for info in pkgutil.walk_packages(torquo.__path__, "torquo."):
+        if info.name != "torquo.__main__":
+            importlib.import_module(info.name)
+    found, todo = set(), [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("torquo.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found - {OrderedValue}
+
+
+def test_samples_cover_every_value_class():
+    assert value_classes() == set(FIELDS) == {type(value) for value in samples()}
+
+
 def test_defaults_and_positional_construction():
     point = TorusPoint((0, 0))
     assert ModelPoint(point, Face(())).tag == ""
@@ -97,10 +123,44 @@ def test_fields_cannot_be_assigned_or_deleted(value):
 
 
 @pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
+def test_fields_live_in_slots(value):
+    cls = type(value)
+    assert "__slots__" in vars(cls)
+    assert all("__slots__" in vars(base) for base in cls.__mro__[:-1])
+    assert hasattr(value, "__dict__") == (cls in KEEP_A_DICT)
+    if cls in KEEP_A_DICT:
+        # the dict holds caches only, never a field
+        assert not set(vars(value)) & set(FIELDS[cls])
+
+
+@pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
 def test_pickle_and_deepcopy_round_trip(value):
-    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
-        assert type(clone) is type(value)
-        assert clone == value and repr(clone) == repr(value)
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone is not value
+        assert clone == value and hash(clone) == hash(value) and repr(clone) == repr(value)
+
+
+@pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
+def test_unpickling_goes_through_the_constructor(value, monkeypatch):
+    cls = type(value)
+    init, calls = cls.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    data = pickle.dumps(value)
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    assert pickle.loads(data) == value
+    assert calls == [value._values]
+
+
+def test_unpickling_runs_the_constructor_checks():
+    # swap the two facet ids inside a pickled Face: the load is refused
+    data = pickle.dumps(Face((0, 1)), protocol=4)
+    assert data.count(b"K\x00K\x01") == 1
+    with pytest.raises(ComplexInputError, match="facet tuple must be strictly increasing"):
+        pickle.loads(data.replace(b"K\x00K\x01", b"K\x01K\x00"))
 
 
 def test_face_complex_pickles_with_its_faces():
@@ -130,6 +190,8 @@ def test_cached_annihilator_leaves_equality_alone():
     fresh = Sublattice(2, ((1, 0),))
     used = Sublattice(2, ((1, 0),))
     assert used._annihilator == ((0, 1),)
+    # the cache is the one entry of the instance dict; the fields are slots
+    assert vars(fresh) == {} and vars(used) == {"_annihilator": ((0, 1),)}
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert pickle.loads(pickle.dumps(used)) == fresh
 
