@@ -18,10 +18,14 @@ CharacteristicFunction instances per call.  Fields are stored with
 object.__setattr__, or with the slot's own descriptor, since the class's
 __setattr__ refuses.
 
-Sublattice and ProblemFile keep "__dict__" among their slots, because
-functools.cached_property stores its result there (Sublattice._annihilator,
-ProblemFile._complex); their fields are still slots, and the dict holds
-only those caches.
+Sublattice, ProblemFile and CharacteristicPair keep "__dict__" among their
+slots, because functools.cached_property stores its result there
+(Sublattice._annihilator, ProblemFile._complex, and the pair's _violation
+and _isotropy); their fields are still slots, and the dict holds only
+those caches, each a function of the frozen fields.  Data that a
+constructor derives from the fields and keeps may sit in further slots
+that _fields does not name (FaceComplex.faces, SkeletalMap's lookup dict):
+it is built before the instance is returned and never compared.
 
 Pickling, copy and deepcopy go through the constructor: __reduce__
 returns (type(self), self._values), and each class's _fields are its

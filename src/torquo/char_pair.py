@@ -11,6 +11,7 @@ face, component tag) triples.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable
 
@@ -124,8 +125,17 @@ class Stratum(Value):
         object.__setattr__(self, "orbit_dim", orbit_dim)
 
 
-class CharacteristicPair:
-    """A face complex together with a characteristic function on its facets."""
+class CharacteristicPair(Value):
+    """A face complex together with a characteristic function on its facets.
+
+    Its slots keep "__dict__", which holds only the cached _violation and
+    _isotropy (functools.cached_property needs an instance dict).
+    """
+
+    __slots__ = ("complex", "char", "__dict__")
+    _fields = ("complex", "char")
+    complex: FaceComplex
+    char: CharacteristicFunction
 
     def __init__(self, complex: FaceComplex, char: CharacteristicFunction) -> None:
         if char.n != complex.n:
@@ -136,11 +146,8 @@ class CharacteristicPair:
             raise DimensionError(
                 f"{char.facet_count} facet vectors for {complex.m} facets"
             )
-        self.complex = complex
-        self.char = char
-        self._violation: Face | None = None
-        self._validated = False
-        self._isotropy: dict[Face, Sublattice] = {}
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "char", char)
 
     @property
     def n(self) -> int:
@@ -152,19 +159,22 @@ class CharacteristicPair:
     def _extends(self, face: Face) -> bool:
         return extends_to_basis(self.face_vectors(face))
 
+    @cached_property
+    def _violation(self) -> Face | None:
+        if all(map(self._extends, self.complex.maximal_faces)):
+            return None
+        # a failing maximal face guarantees the scan stops
+        return next(f for f in self.complex.faces if not self._extends(f))
+
     def first_violation(self) -> Face | None:
         """First face, in lex order, whose vectors fail the basis condition.
 
         Every face lies in a maximal face, and part of a basis extends to a
         basis, so the pair is valid exactly when every maximal face passes.
         Those are tested first; only when one fails does the lex scan over
-        all faces run, to name the first failing face.
+        all faces run, to name the first failing face.  The answer is
+        computed once per pair.
         """
-        if not self._validated:
-            if not all(map(self._extends, self.complex.maximal_faces)):
-                # a failing maximal face guarantees the scan stops
-                self._violation = next(f for f in self.complex.faces if not self._extends(f))
-            self._validated = True
         return self._violation
 
     @property
@@ -179,6 +189,11 @@ class CharacteristicPair:
             )
 
     # -- isotropy and model points -------------------------------------------
+
+    @cached_property
+    def _isotropy(self) -> dict[Face, Sublattice]:
+        """Each face's lattice, added by isotropy_lattice on first use."""
+        return {}
 
     def isotropy_lattice(self, face: Face | Iterable[int]) -> Sublattice:
         """Lattice of the isotropy subtorus of a face: span of its facet vectors.
@@ -245,14 +260,3 @@ class CharacteristicPair:
         """Number of torus-fixed points: one per maximal face."""
         self.require_valid()
         return len(self.complex.maximal_faces)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CharacteristicPair):
-            return NotImplemented
-        return (self.complex, self.char) == (other.complex, other.char)
-
-    def __hash__(self) -> int:
-        return hash((self.complex, self.char))
-
-    def __repr__(self) -> str:
-        return f"CharacteristicPair(complex={self.complex!r}, char={self.char!r})"

@@ -20,6 +20,7 @@ forms along every automorphism and looks up each function once.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from math import gcd
 from operator import itemgetter, mul
@@ -29,7 +30,7 @@ from ._value import Value
 from .char_pair import CharacteristicFunction, CharacteristicPair
 from .errors import DimensionError, PreconditionError
 from .face_complex import FaceComplex, _isomorphisms, isomorphisms
-from .lattice import IntMatrix, IntVector, UnimodularMatrix, extends_to_basis, is_primitive
+from .lattice import IntMatrix, IntVector, UnimodularMatrix, extends_to_basis
 from .lattice import _annihilator_of, _reduce_to_identity
 
 MODES = ("strict", "weak")
@@ -237,11 +238,8 @@ def compose_witnesses(
 
 def primitive_box(n: int, bound: int) -> list[IntVector]:
     """All primitive vectors with entries in [-bound, bound], lex sorted."""
-    return [
-        vec
-        for vec in itertools.product(range(-bound, bound + 1), repeat=n)
-        if is_primitive(vec)
-    ]
+    box = itertools.product(range(-bound, bound + 1), repeat=n)
+    return [vec for vec in box if math.gcd(*vec) == 1]
 
 
 def _collect(

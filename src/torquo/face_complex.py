@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from ._value import OrderedValue
+from ._value import OrderedValue, Value
 from .errors import ComplexInputError, DimensionError, NoSuchFaceError, SimplicityError
 
 FacetId = int
@@ -53,13 +53,29 @@ class Face(OrderedValue):
     def __contains__(self, facet: FacetId) -> bool:
         return facet in self.facets
 
+    def __iter__(self) -> Iterator[FacetId]:
+        return iter(self.facets)
+
     def is_subface_of(self, other: "Face") -> bool:
         """Reverse inclusion of facet sets: self contains other as a subspace."""
         return set(self.facets) <= set(other.facets)
 
 
-class FaceComplex:
-    """The poset of faces generated by maximal faces of a nice corner structure."""
+class FaceComplex(Value):
+    """The poset of faces generated by maximal faces of a nice corner structure.
+
+    Its fields are n, m and the sorted maximal faces.  The faces they
+    generate, and the set of their facet tuples, follow from those and
+    sit in two more slots.
+    """
+
+    __slots__ = ("n", "m", "maximal_faces", "faces", "_face_set")
+    _fields = ("n", "m", "maximal_faces")
+    n: int
+    m: int
+    maximal_faces: tuple[Face, ...]
+    faces: tuple[Face, ...]
+    _face_set: frozenset[tuple[FacetId, ...]]
 
     def __init__(self, n: int, m: int, maximal_faces: Iterable[Iterable[FacetId]]) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -103,11 +119,11 @@ class FaceComplex:
                 for combo in itertools.combinations(face.facets, k):
                     faces.add(Face(combo))
 
-        self.n = n
-        self.m = m
-        self.maximal_faces: tuple[Face, ...] = tuple(sorted(maximal))
-        self.faces: tuple[Face, ...] = tuple(sorted(faces))
-        self._face_set: frozenset[tuple[int, ...]] = frozenset(f.facets for f in faces)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "maximal_faces", tuple(sorted(maximal)))
+        object.__setattr__(self, "faces", tuple(sorted(faces)))
+        object.__setattr__(self, "_face_set", frozenset(f.facets for f in faces))
 
     # -- queries ------------------------------------------------------------
 
@@ -144,20 +160,6 @@ class FaceComplex:
         if facet < 0 or facet >= self.m:
             raise DimensionError(f"facet id {facet} out of range (m={self.m})")
         return sum(1 for face in self.maximal_faces if facet in face.facets)
-
-    # -- structural equality -------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaceComplex):
-            return NotImplemented
-        return (self.n, self.m, self.maximal_faces) == (other.n, other.m, other.maximal_faces)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.maximal_faces))
-
-    def __repr__(self) -> str:
-        verts = [list(f.facets) for f in self.maximal_faces]
-        return f"FaceComplex(n={self.n}, m={self.m}, maximal_faces={verts})"
 
 
 def isomorphisms(first: FaceComplex, second: FaceComplex) -> list[tuple[FacetId, ...]]:

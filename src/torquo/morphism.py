@@ -12,7 +12,7 @@ source face.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._value import Value
 from .char_pair import CharacteristicPair, ModelPoint
@@ -56,20 +56,32 @@ def check_skeletal(
     return None
 
 
-class SkeletalMap:
-    """A validated face-to-face map between two complexes."""
+class SkeletalMap(Value):
+    """A validated face-to-face map between two complexes.
+
+    The field mapping holds the (face, image) pairs in source.faces order;
+    the constructor takes them as a Mapping or as such pairs.  A dict of
+    the same pairs, in one more slot, serves lookups.
+    """
+
+    __slots__ = ("source", "target", "mapping", "_images")
+    _fields = ("source", "target", "mapping")
+    source: FaceComplex
+    target: FaceComplex
+    mapping: tuple[tuple[Face, Face], ...]
+    _images: dict[Face, Face]
 
     def __init__(
-        self, source: FaceComplex, target: FaceComplex, mapping: Mapping[Face, Face]
+        self,
+        source: FaceComplex,
+        target: FaceComplex,
+        mapping: Mapping[Face, Face] | Iterable[tuple[Face, Face]],
     ) -> None:
+        mapping = dict(mapping)
         bad = check_skeletal(source, target, mapping)
         if bad is not None:
-            raise PreconditionError(
-                f"mapping is not skeletal at face {list(bad.facets)}"
-            )
-        self.source = source
-        self.target = target
-        self._mapping = {face: mapping[face] for face in source.faces}
+            raise PreconditionError(f"mapping is not skeletal at face {list(bad.facets)}")
+        self._store(source, target, mapping)
 
     @classmethod
     def _unchecked(
@@ -81,34 +93,26 @@ class SkeletalMap:
         is not run again.
         """
         skeletal = object.__new__(cls)
-        skeletal.source = source
-        skeletal.target = target
-        skeletal._mapping = {face: mapping[face] for face in source.faces}
+        skeletal._store(source, target, mapping)
         return skeletal
+
+    def _store(
+        self, source: FaceComplex, target: FaceComplex, mapping: Mapping[Face, Face]
+    ) -> None:
+        images = {face: mapping[face] for face in source.faces}
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mapping", tuple(images.items()))
+        object.__setattr__(self, "_images", images)
 
     def __getitem__(self, face: Face) -> Face:
         try:
-            return self._mapping[face]
+            return self._images[face]
         except KeyError:
             raise NoSuchFaceError(f"{list(face.facets)} is not a face of the source") from None
 
     def as_dict(self) -> dict[Face, Face]:
-        return dict(self._mapping)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SkeletalMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self._mapping == other._mapping
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, frozenset(self._mapping.items())))
-
-    def __repr__(self) -> str:
-        return f"SkeletalMap({self.source!r} -> {self.target!r})"
+        return dict(self._images)
 
 
 def skeletal_from_facet_map(

@@ -30,7 +30,7 @@ from torquo.char_pair import (
     CharacteristicPair,
     ModelPoint,
 )
-from torquo.classify import enumerate_characteristic
+from torquo.classify import enumerate_characteristic, equivalent
 from torquo.errors import DimensionError, NoSuchFaceError, PreconditionError
 from torquo.face_complex import Face, FaceComplex
 from torquo.lattice import Sublattice, TorusPoint
@@ -130,6 +130,18 @@ def test_validation_lex_first_violation():
         make_triangle(), CharacteristicFunction(2, ((1, 0), (1, 0), (0, 1)))
     )
     assert pair2.first_violation() == Face((0, 1))
+
+
+def test_a_validated_pair_cannot_swap_its_function():
+    pair = triangle_pair()
+    pair.require_valid()
+    before, keys = hash(pair), {pair}
+    invalid = CharacteristicFunction(2, ((1, 0), (1, 0), (0, 1)))
+    with pytest.raises(AttributeError, match="cannot assign to field 'char'"):
+        pair.char = invalid
+    assert pair.char == triangle_pair().char and pair.is_valid
+    assert hash(pair) == before and pair in keys
+    assert equivalent(pair, pair) is not None
 
 
 def test_first_violation_matches_the_full_lex_scan():

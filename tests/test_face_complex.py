@@ -141,3 +141,12 @@ def test_structural_equality():
     assert make_square() == make_square()
     assert make_square() != make_triangle()
     assert hash(make_square()) == hash(make_square())
+
+
+def test_a_hashed_complex_cannot_be_reassigned():
+    cx = make_cube()
+    before, keys = hash(cx), {cx}
+    with pytest.raises(AttributeError, match="cannot assign to field 'maximal_faces'"):
+        cx.maximal_faces = make_square().maximal_faces
+    assert cx.maximal_faces == make_cube().maximal_faces
+    assert hash(cx) == before and cx in keys

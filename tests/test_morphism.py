@@ -120,6 +120,7 @@ def test_skeletal_map_lookup_and_dict():
     for face in cx.faces:
         assert sk[face] == face
     assert sk.as_dict() == {face: face for face in cx.faces}
+    assert sk.mapping == tuple((face, face) for face in cx.faces)
     with pytest.raises(NoSuchFaceError):
         sk[Face((0, 1, 2))]
 
@@ -132,6 +133,19 @@ def test_skeletal_map_equality():
     # equal maps hash alike, so a skeletal map or a Morphism can key a dict
     assert hash(identity_skeletal(cx)) == hash(identity_skeletal(cx))
     assert len({identity_skeletal(cx), identity_skeletal(cx), collapse}) == 2
+    # the pairs are kept in source.faces order, whatever order they came in
+    backwards = SkeletalMap(cx, cx, [(face, face) for face in reversed(cx.faces)])
+    assert backwards == identity_skeletal(cx) and hash(backwards) == hash(identity_skeletal(cx))
+
+
+def test_a_hashed_morphism_cannot_retarget_its_face_map():
+    tri = make_triangle()
+    morphism = identity_morphism(tri)
+    before, keys = hash(morphism), {morphism}
+    with pytest.raises(AttributeError, match="cannot assign to field 'target'"):
+        morphism.face_map.target = make_square()
+    assert morphism.face_map.target == tri
+    assert hash(morphism) == before and morphism in keys
 
 
 def test_facet_map_rotation_of_triangle():

@@ -12,12 +12,12 @@ import pytest
 
 import torquo
 from torquo._value import OrderedValue, Value
-from torquo.char_pair import CharacteristicFunction, ModelPoint, Stratum
+from torquo.char_pair import CharacteristicFunction, CharacteristicPair, ModelPoint, Stratum
 from torquo.classify import EquivalenceWitness, InvariantSignature
 from torquo.errors import ComplexInputError, DimensionError, PreconditionError
 from torquo.face_complex import Face, FaceComplex
 from torquo.lattice import IntMatrix, Sublattice, TorusPoint, UnimodularMatrix
-from torquo.morphism import CompatibilityViolation, Morphism, identity_skeletal
+from torquo.morphism import CompatibilityViolation, Morphism, SkeletalMap, identity_skeletal
 from torquo.problemfile import ProblemFile
 
 from conftest import make_triangle
@@ -37,6 +37,9 @@ FIELDS = {
     Morphism: ("torus_map", "face_map"),
     CompatibilityViolation: ("facet", "source_points"),
     ProblemFile: ("n", "facet_names", "vertices", "lambda_rows", "contractible_faces", "reps"),
+    FaceComplex: ("n", "m", "maximal_faces"),
+    CharacteristicPair: ("complex", "char"),
+    SkeletalMap: ("source", "target", "mapping"),
 }
 
 
@@ -45,13 +48,15 @@ def samples():
     face = Face(facets=(0, 1))
     point = TorusPoint(coords=(Fraction(1, 2), 0))
     identity = UnimodularMatrix(rows=((1, 0), (0, 1)))
+    char = CharacteristicFunction(n=2, vectors=((1, 0), (0, 1), (1, 1)))
+    triangle = FaceComplex(n=2, m=3, maximal_faces=((0, 1), (1, 2), (0, 2)))
     return [
         IntMatrix(rows=((1, 2), (3, 4))),
         identity,
         point,
         Sublattice(ambient=2, basis=((0, 2), (1, 1))),
         face,
-        CharacteristicFunction(n=2, vectors=((1, 0), (0, 1), (1, 1))),
+        char,
         ModelPoint(t=point, face=face),
         Stratum(face=face, codim=2, isotropy_rank=2, orbit_dim=0),
         EquivalenceWitness(facet_map=(0, 1, 2), torus_map=identity, signs=(1, 1, 1)),
@@ -63,18 +68,28 @@ def samples():
         ProblemFile(
             n=2, facet_names=None, vertices=((0, 1),), lambda_rows=None, contractible_faces=True
         ),
+        triangle,
+        CharacteristicPair(complex=triangle, char=char),
+        SkeletalMap(source=triangle, target=triangle, mapping={f: f for f in triangle.faces}),
     ]
 
 
 # cached_property needs an instance dict; these keep "__dict__" in their slots
-KEEP_A_DICT = {Sublattice, ProblemFile}
+KEEP_A_DICT = {Sublattice, ProblemFile, CharacteristicPair}
+
+
+def package_modules() -> list:
+    """Every module of the package but __main__, imported."""
+    return [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(torquo.__path__, "torquo.")
+        if info.name != "torquo.__main__"
+    ]
 
 
 def value_classes() -> set[type]:
     """Every Value subclass in the package, after importing all its modules."""
-    for info in pkgutil.walk_packages(torquo.__path__, "torquo."):
-        if info.name != "torquo.__main__":
-            importlib.import_module(info.name)
+    package_modules()
     found, todo = set(), [Value]
     while todo:
         for sub in todo.pop().__subclasses__():
@@ -88,13 +103,28 @@ def test_samples_cover_every_value_class():
     assert value_classes() == set(FIELDS) == {type(value) for value in samples()}
 
 
+def test_only_the_base_compares_and_hashes():
+    # a class with its own __eq__ or __hash__ (defining __eq__ alone sets
+    # __hash__ to None) would compare by hand over fields it cannot freeze
+    classes = {
+        obj
+        for module in package_modules()
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__.startswith("torquo.")
+    }
+    assert FaceComplex in classes and len(classes) > len(FIELDS)
+    by_hand = {cls for cls in classes if {"__eq__", "__hash__"} & set(vars(cls))}
+    assert by_hand - {Value, OrderedValue} == set()
+
+
 def test_defaults_and_positional_construction():
     point = TorusPoint((0, 0))
     assert ModelPoint(point, Face(())).tag == ""
     assert ModelPoint(point, Face(()), "b") == ModelPoint(t=point, face=Face(()), tag="b")
     problem = ProblemFile(2, None, ((0, 1),), None, True)
     assert problem.reps is None
-    assert problem == samples()[-1]
+    (sample,) = (value for value in samples() if type(value) is ProblemFile)
+    assert problem == sample
 
 
 @pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
@@ -194,6 +224,19 @@ def test_cached_annihilator_leaves_equality_alone():
     assert vars(fresh) == {} and vars(used) == {"_annihilator": ((0, 1),)}
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert pickle.loads(pickle.dumps(used)) == fresh
+
+
+def test_cached_validation_and_isotropy_leave_equality_alone():
+    fresh = CharacteristicPair(make_triangle(), CharacteristicFunction(2, ((1, 0), (0, 1), (1, 1))))
+    used = copy.copy(fresh)
+    used.require_valid()
+    lattice = used.isotropy_lattice((0, 1))
+    # the two caches are the only entries of the instance dict; the fields are slots
+    assert vars(fresh) == {}
+    assert vars(used) == {"_violation": None, "_isotropy": {Face((0, 1)): lattice}}
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    clone = pickle.loads(pickle.dumps(used))
+    assert clone == fresh and vars(clone) == {}
 
 
 def test_checks_run_in_the_constructor():
