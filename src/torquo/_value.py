@@ -18,19 +18,18 @@ CharacteristicFunction instances per call.  Fields are stored with
 object.__setattr__, or with the slot's own descriptor, since the class's
 __setattr__ refuses.
 
-Sublattice, ProblemFile and CharacteristicPair keep "__dict__" among their
-slots, because functools.cached_property stores its result there
-(Sublattice._annihilator, ProblemFile._complex, and the pair's _violation
-and _isotropy); their fields are still slots, and the dict holds only
-those caches, each a function of the frozen fields.  Data that a
-constructor derives from the fields and keeps may sit in further slots
-that _fields does not name (FaceComplex.faces, SkeletalMap's lookup dict):
-it is built before the instance is returned and never compared.
+No class keeps "__dict__".  Data derived from the fields sits in further
+slots that _fields does not name, and the constructor fills them before
+it returns (FaceComplex.faces, SkeletalMap's lookup dict,
+Sublattice._annihilator, ProblemFile._complex, the pair's _violation); it
+is never compared.  The one slot whose contents grow later is
+CharacteristicPair._isotropy, a dict of per-face lattices that starts
+empty and that isotropy_lattice fills on use.
 
 Pickling, copy and deepcopy go through the constructor: __reduce__
 returns (type(self), self._values), and each class's _fields are its
 constructor's parameters in order.  So an unpickled value passes the same
-checks as a new one, and a cache is never carried across.
+checks as a new one, and derives its own data afresh.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ face, component tag) triples.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from itertools import repeat
 from typing import Iterable
 
@@ -128,14 +127,20 @@ class Stratum(Value):
 class CharacteristicPair(Value):
     """A face complex together with a characteristic function on its facets.
 
-    Its slots keep "__dict__", which holds only the cached _violation and
-    _isotropy (functools.cached_property needs an instance dict).
+    Its fields are the complex and the function.  The constructor also
+    decides validity: the first failing face (or None) sits in the
+    _violation slot, so first_violation, is_valid and require_valid only
+    read it.  The _isotropy slot holds a dict that isotropy_lattice fills
+    one face at a time; it starts empty in every new pair, a copy or an
+    unpickled one included.
     """
 
-    __slots__ = ("complex", "char", "__dict__")
+    __slots__ = ("complex", "char", "_violation", "_isotropy")
     _fields = ("complex", "char")
     complex: FaceComplex
     char: CharacteristicFunction
+    _violation: Face | None
+    _isotropy: dict[Face, Sublattice]
 
     def __init__(self, complex: FaceComplex, char: CharacteristicFunction) -> None:
         if char.n != complex.n:
@@ -148,6 +153,12 @@ class CharacteristicPair(Value):
             )
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "char", char)
+        violation = None
+        if not all(map(self._extends, complex.maximal_faces)):
+            # a failing maximal face guarantees the lex scan stops
+            violation = next(f for f in complex.faces if not self._extends(f))
+        object.__setattr__(self, "_violation", violation)
+        object.__setattr__(self, "_isotropy", {})
 
     @property
     def n(self) -> int:
@@ -159,21 +170,14 @@ class CharacteristicPair(Value):
     def _extends(self, face: Face) -> bool:
         return extends_to_basis(self.face_vectors(face))
 
-    @cached_property
-    def _violation(self) -> Face | None:
-        if all(map(self._extends, self.complex.maximal_faces)):
-            return None
-        # a failing maximal face guarantees the scan stops
-        return next(f for f in self.complex.faces if not self._extends(f))
-
     def first_violation(self) -> Face | None:
         """First face, in lex order, whose vectors fail the basis condition.
 
-        Every face lies in a maximal face, and part of a basis extends to a
-        basis, so the pair is valid exactly when every maximal face passes.
-        Those are tested first; only when one fails does the lex scan over
-        all faces run, to name the first failing face.  The answer is
-        computed once per pair.
+        The constructor found it: every face lies in a maximal face, and
+        part of a basis extends to a basis, so the pair is valid exactly
+        when every maximal face passes.  Those are tested first; only when
+        one fails does the lex scan over all faces run, to name the first
+        failing face.  This method returns the stored answer.
         """
         return self._violation
 
@@ -190,17 +194,13 @@ class CharacteristicPair(Value):
 
     # -- isotropy and model points -------------------------------------------
 
-    @cached_property
-    def _isotropy(self) -> dict[Face, Sublattice]:
-        """Each face's lattice, added by isotropy_lattice on first use."""
-        return {}
-
     def isotropy_lattice(self, face: Face | Iterable[int]) -> Sublattice:
         """Lattice of the isotropy subtorus of a face: span of its facet vectors.
 
         Valid pairs give saturated lattices of rank equal to the codimension.
-        Each face's lattice is built once per pair and then shared, so its
-        cached annihilator is too.
+        Each face's lattice is built on first use, kept in the pair's
+        _isotropy dict and then shared, so the annihilator its constructor
+        computed is too.
         """
         face = face if isinstance(face, Face) else Face.of(face)
         lattice = self._isotropy.get(face)

@@ -20,7 +20,6 @@ forms along every automorphism and looks up each function once.
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from math import gcd
 from operator import itemgetter, mul
@@ -239,7 +238,7 @@ def compose_witnesses(
 def primitive_box(n: int, bound: int) -> list[IntVector]:
     """All primitive vectors with entries in [-bound, bound], lex sorted."""
     box = itertools.product(range(-bound, bound + 1), repeat=n)
-    return [vec for vec in box if math.gcd(*vec) == 1]
+    return [vec for vec in box if gcd(*vec) == 1]
 
 
 def _collect(

@@ -31,7 +31,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
@@ -278,14 +277,17 @@ def hermite_rows(rows: Iterable[Sequence[int]], ambient: int) -> tuple[IntVector
 class Sublattice(Value):
     """Sublattice of Z^ambient, stored by its Hermite row basis.
 
-    Its slots keep "__dict__", which holds only the cached _annihilator
-    (functools.cached_property needs an instance dict).
+    The constructor also keeps the basis's annihilator in the _annihilator
+    slot: the last n - k columns of V with basis @ V = [I | 0], read
+    directly from the column reduction's V (see _annihilator_of), or None
+    when the lattice is not saturated.
     """
 
-    __slots__ = ("ambient", "basis", "__dict__")
+    __slots__ = ("ambient", "basis", "_annihilator")
     _fields = ("ambient", "basis")
     ambient: int
     basis: tuple[IntVector, ...]
+    _annihilator: tuple[IntVector, ...] | None
 
     def __init__(self, ambient: int, basis: Iterable[Sequence[int]]) -> None:
         if isinstance(ambient, bool) or not isinstance(ambient, int):
@@ -294,6 +296,7 @@ class Sublattice(Value):
             raise DimensionError("ambient dimension must be >= 1")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", hermite_rows(basis, ambient))
+        object.__setattr__(self, "_annihilator", _annihilator_of(self.basis, ambient))
 
     @property
     def rank(self) -> int:
@@ -312,14 +315,6 @@ class Sublattice(Value):
     def is_saturated(self) -> bool:
         """Whether the basis extends to a basis of the ambient lattice."""
         return extends_to_basis(self.basis)
-
-    @cached_property
-    def _annihilator(self) -> tuple[IntVector, ...] | None:
-        """Last n - k columns of V with basis @ V = [I | 0]; None if unsaturated.
-
-        Read directly from the column reduction's V (see _annihilator_of).
-        """
-        return _annihilator_of(self.basis, self.ambient)
 
 
 # ---------------------------------------------------------------------------

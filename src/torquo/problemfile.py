@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property
 from typing import Any
 
 from ._value import Value
@@ -37,18 +36,20 @@ RepsTable = tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]
 class ProblemFile(Value):
     """Parsed and canonicalized problem document.
 
-    Its slots keep "__dict__", which holds only the cached _complex
-    (functools.cached_property needs an instance dict).
+    The constructor also builds the document's FaceComplex into the
+    _complex slot, so a document whose complex cannot be built is refused
+    with the complex's own TorquoError.
     """
 
     _fields = ("n", "facet_names", "vertices", "lambda_rows", "contractible_faces", "reps")
-    __slots__ = (*_fields, "__dict__")
+    __slots__ = (*_fields, "_complex")
     n: int
     facet_names: tuple[str, ...] | None
     vertices: tuple[tuple[int, ...], ...]
     lambda_rows: tuple[tuple[int, ...], ...] | None
     contractible_faces: bool
     reps: RepsTable | None
+    _complex: FaceComplex
 
     def __init__(
         self,
@@ -65,6 +66,7 @@ class ProblemFile(Value):
         object.__setattr__(self, "lambda_rows", lambda_rows)
         object.__setattr__(self, "contractible_faces", contractible_faces)
         object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "_complex", FaceComplex(n, self.facet_count, vertices))
 
     @property
     def facet_count(self) -> int:
@@ -72,17 +74,14 @@ class ProblemFile(Value):
             return len(self.facet_names)
         if self.lambda_rows is not None:
             return len(self.lambda_rows)
-        return 1 + max(i for vertex in self.vertices for i in vertex)
-
-    @cached_property
-    def _complex(self) -> FaceComplex:
-        return FaceComplex(self.n, self.facet_count, self.vertices)
+        # vertices with no facet ids give 0, which FaceComplex refuses in one line
+        return 1 + max((i for vertex in self.vertices for i in vertex), default=-1)
 
     def build_complex(self) -> FaceComplex:
-        """The document's complex, built on the first call and kept.
+        """The document's complex, built once by the constructor and kept.
 
-        parse_problem builds it to check the reps faces, so the complex of a
-        parsed document is built once however many pairs are built from it.
+        parse_problem reads it to check the reps faces, and every pair built
+        from the document shares it.
         """
         return self._complex
 
@@ -241,18 +240,18 @@ def parse_problem(text: str) -> ProblemFile:
             raise ProblemFileError('"reps" assigns the same face twice')
         reps = tuple(sorted(entries, key=lambda e: e[0]))
 
-    problem = ProblemFile(
-        n=n,
-        facet_names=facet_names,
-        vertices=tuple(vertices),
-        lambda_rows=lambda_rows,
-        contractible_faces=flag,
-        reps=reps,
-    )
     try:
-        complex_ = problem.build_complex()
+        problem = ProblemFile(
+            n=n,
+            facet_names=facet_names,
+            vertices=tuple(vertices),
+            lambda_rows=lambda_rows,
+            contractible_faces=flag,
+            reps=reps,
+        )
     except TorquoError as exc:
         raise ProblemFileError(str(exc)) from None
+    complex_ = problem.build_complex()
     # entries are in document order, so i is the index the file uses
     for i, (facets, _) in enumerate(entries):
         if len(set(facets)) != len(facets) or not complex_.has_face(facets):

@@ -187,6 +187,8 @@ UNDECODABLE = {
     # m = 10**30 + 1 facets: the missing ones are named without a set of size m
     "huge-facet-id": b'{"n": 2, "vertices": [[0, 1' + b"0" * 30
     + b']], "contractible_faces": true}',
+    # no facet ids at all: the facet count is 0, not max() of nothing
+    "no-facet-ids": b'{"n": 1, "vertices": [[]], "contractible_faces": true}',
     # Fraction would build 10**1000000000 for a reps point in exponent notation
     "exponent-rational": b'{"n": 2, "vertices": [[0, 1], [0, 2], [1, 2]], "contractible_faces": '
     b'true, "reps": [{"face": [], "point": ["1e1000000000", "0/1"]}]}',

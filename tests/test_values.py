@@ -11,14 +11,15 @@ from fractions import Fraction
 import pytest
 
 import torquo
+import torquo.char_pair as char_pair_module
 from torquo._value import OrderedValue, Value
 from torquo.char_pair import CharacteristicFunction, CharacteristicPair, ModelPoint, Stratum
 from torquo.classify import EquivalenceWitness, InvariantSignature
-from torquo.errors import ComplexInputError, DimensionError, PreconditionError
+from torquo.errors import ComplexInputError, DimensionError, PreconditionError, ProblemFileError
 from torquo.face_complex import Face, FaceComplex
 from torquo.lattice import IntMatrix, Sublattice, TorusPoint, UnimodularMatrix
 from torquo.morphism import CompatibilityViolation, Morphism, SkeletalMap, identity_skeletal
-from torquo.problemfile import ProblemFile
+from torquo.problemfile import ProblemFile, parse_problem
 
 from conftest import make_triangle
 
@@ -72,10 +73,6 @@ def samples():
         CharacteristicPair(complex=triangle, char=char),
         SkeletalMap(source=triangle, target=triangle, mapping={f: f for f in triangle.faces}),
     ]
-
-
-# cached_property needs an instance dict; these keep "__dict__" in their slots
-KEEP_A_DICT = {Sublattice, ProblemFile, CharacteristicPair}
 
 
 def package_modules() -> list:
@@ -157,10 +154,7 @@ def test_fields_live_in_slots(value):
     cls = type(value)
     assert "__slots__" in vars(cls)
     assert all("__slots__" in vars(base) for base in cls.__mro__[:-1])
-    assert hasattr(value, "__dict__") == (cls in KEEP_A_DICT)
-    if cls in KEEP_A_DICT:
-        # the dict holds caches only, never a field
-        assert not set(vars(value)) & set(FIELDS[cls])
+    assert not hasattr(value, "__dict__")
 
 
 @pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
@@ -217,26 +211,67 @@ def test_faces_order_by_their_facet_tuples():
 
 
 def test_cached_annihilator_leaves_equality_alone():
-    fresh = Sublattice(2, ((1, 0),))
-    used = Sublattice(2, ((1, 0),))
-    assert used._annihilator == ((0, 1),)
-    # the cache is the one entry of the instance dict; the fields are slots
-    assert vars(fresh) == {} and vars(used) == {"_annihilator": ((0, 1),)}
-    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-    assert pickle.loads(pickle.dumps(used)) == fresh
+    saturated = Sublattice(2, ((1, 0),))
+    assert saturated._annihilator == ((0, 1),)
+    assert Sublattice(2, [[2, 0]])._annihilator is None
+    # the slot is filled by the constructor, so a clone has its own
+    for clone in (copy.copy(saturated), pickle.loads(pickle.dumps(saturated))):
+        assert clone._annihilator == ((0, 1),)
+        assert clone == saturated and hash(clone) == hash(saturated)
+        assert repr(clone) == repr(saturated)
 
 
 def test_cached_validation_and_isotropy_leave_equality_alone():
     fresh = CharacteristicPair(make_triangle(), CharacteristicFunction(2, ((1, 0), (0, 1), (1, 1))))
+    bad = CharacteristicPair(make_triangle(), CharacteristicFunction(2, ((1, 0), (0, 1), (1, 0))))
+    # validity is decided at construction; the isotropy dict starts empty
+    assert fresh._violation is None and bad._violation == Face((0, 2))
+    assert fresh._isotropy == {}
     used = copy.copy(fresh)
     used.require_valid()
     lattice = used.isotropy_lattice((0, 1))
-    # the two caches are the only entries of the instance dict; the fields are slots
-    assert vars(fresh) == {}
-    assert vars(used) == {"_violation": None, "_isotropy": {Face((0, 1)): lattice}}
+    assert used._isotropy == {Face((0, 1)): lattice} and fresh._isotropy == {}
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-    clone = pickle.loads(pickle.dumps(used))
-    assert clone == fresh and vars(clone) == {}
+    # every clone starts with its own empty dict
+    for clone in (copy.copy(used), pickle.loads(pickle.dumps(used))):
+        assert clone == fresh and clone._violation is None
+        assert clone._isotropy == {} and clone._isotropy is not used._isotropy
+
+
+def test_validation_reads_make_no_basis_tests(monkeypatch):
+    real, calls = char_pair_module.extends_to_basis, []
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(char_pair_module, "extends_to_basis", counting)
+    for vectors, bad in (((1, 0), (0, 1), (1, 1)), None), (((1, 0), (0, 1), (1, 0)), Face((0, 2))):
+        pair = CharacteristicPair(make_triangle(), CharacteristicFunction(2, vectors))
+        built = len(calls)
+        assert built > 0
+        for _ in range(3):
+            assert pair.first_violation() == bad
+            assert pair.is_valid == (bad is None)
+            if bad is None:
+                pair.require_valid()
+            else:
+                with pytest.raises(PreconditionError, match=r"invalid at face \[0, 2\]"):
+                    pair.require_valid()
+        assert len(calls) == built
+        calls.clear()
+
+
+def test_problem_file_builds_its_complex_at_construction():
+    problem = ProblemFile(2, None, ((0, 1), (0, 2), (1, 2)), None, True)
+    assert problem.build_complex() is problem.build_complex() is problem._complex
+    assert problem._complex == make_triangle()
+    # a document whose complex cannot be built is refused when it is built
+    with pytest.raises(ComplexInputError, match="facet count m must be an integer >= n, got 1"):
+        ProblemFile(2, None, ((0, 0),), None, True)
+    document = '{"n": 2, "vertices": [[0, 0]], "contractible_faces": true}'
+    with pytest.raises(ProblemFileError, match=r"^facet count m must be an integer >= n, got 1$"):
+        parse_problem(document)
 
 
 def test_checks_run_in_the_constructor():
