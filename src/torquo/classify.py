@@ -258,11 +258,9 @@ def _collect(
     some target without a vector is dropped before the facets in between
     are tried, and the last facet needs no test: every bit that survives
     in its domain is a result.  Singleton faces need no check because
-    every option is primitive.  Several faces can narrow one target, so
-    the targets of a facet are restored before its next option.  A facet
-    whose domain holds one bit (a pinned one) counts as assigned before
-    the search, so a face whose earlier facets are all pinned narrows its
-    target once, up front; later facets then test fewer bits.
+    every option is primitive.  Targets come after the facet that narrows
+    them, so each facet keeps the domains after it once and restores them
+    with one slice before its next option.
 
     Rows extend to a basis exactly when they do with any row negated, so
     masks are keyed by the prefix's signless box indices max(i, top - i),
@@ -292,28 +290,21 @@ def _collect(
     every result in the slice starts with assign[:facet]: each copy is
     one concatenation of a lead tuple, that prefix plus the new row made
     once per twin, with the result's tail.  Where a twin is missing from
-    the domain (a pinned facet), the other is walked as usual.
+    the domain, the other is walked as usual.
     """
     top = len(box) - 1
     signless = [max(i, top - i) for i in range(len(box))]
     domains = list(domains)
-    pinned = [domain.bit_count() == 1 for domain in domains]
-    # final for pinned facets; the others' keys are set as they are assigned
-    keys = [signless[domain.bit_length() - 1] for domain in domains]
-    # faces whose earlier facets are all pinned narrow before the search;
-    # the others at their second-to-last facet, via a getter of their keys
-    # (None for a pair, whose key is that facet's alone)
-    early: list[tuple[tuple[int, ...], int]] = []
+    # each facet's key is set when it is walked
+    keys = [0] * cx.m
+    # each face narrows at its second-to-last facet, via a getter of its
+    # keys (None for a pair, whose key is that facet's alone)
     duties: list[list[tuple[itemgetter | None, int]]] = [[] for _ in range(cx.m)]
     for face in cx.faces:
         if face.codim >= 2:
             *prefix, target = face.facets
-            if all(pinned[f] for f in prefix):
-                early.append((tuple(keys[f] for f in prefix), target))
-            else:
-                getter = itemgetter(*prefix) if len(prefix) > 1 else None
-                duties[prefix[-1]].append((getter, target))
-    targets = [sorted({target for _, target in jobs}) for jobs in duties]
+            getter = itemgetter(*prefix) if len(prefix) > 1 else None
+            duties[prefix[-1]].append((getter, target))
 
     # key -> [bits that complete the prefix, bits not yet tested, the
     # prefix's annihilator columns]; a prefix that does not extend has none
@@ -361,10 +352,11 @@ def _collect(
                 results.append(head + single[low.bit_length() - 1])
             return
         jobs = duties[facet]
-        saved = [(b, domains[b]) for b in targets[facet]]
+        after = facet + 1
+        # every target of this facet comes after it
+        saved = domains[after:]
         # signless key -> [start, end) of the results under its first twin
         walked: dict[int, tuple[int, int]] = {}
-        after = facet + 1
         while rest:
             low = rest & -rest
             rest ^= low
@@ -387,11 +379,9 @@ def _collect(
             else:
                 walk(after)
             walked[s] = (start, len(results))
-            for b, domain in saved:
-                domains[b] = domain
+            domains[after:] = saved
 
-    if all(narrow(key, target) for key, target in early):
-        walk(0)
+    walk(0)
     return results
 
 

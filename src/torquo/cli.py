@@ -235,12 +235,11 @@ def _load_skeletal(path: str, source: FaceComplex, target: FaceComplex) -> Skele
             if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in ids):
                 raise InputError(f"\"face_map\"[{i}] must list nonnegative facet ids")
             src, dst = sorted(item[0]), sorted(item[1])
-            # as for reps faces, a repeated facet id names no face
-            if len(set(src)) != len(src) or not source.has_face(src):
+            if not source.has_face(src):
                 raise InputError(f"\"face_map\"[{i}] source {src} is not a face of the source")
             if Face(src) in mapping:
                 raise InputError(f"\"face_map\"[{i}] repeats source face {src}")
-            if len(set(dst)) != len(dst) or not target.has_face(dst):
+            if not target.has_face(dst):
                 raise InputError(f"\"face_map\"[{i}] image {dst} is not a face of the target")
             mapping[Face(src)] = Face(dst)
         missing = [f for f in source.faces if f not in mapping]

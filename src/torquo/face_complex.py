@@ -128,7 +128,8 @@ class FaceComplex(Value):
     # -- queries ------------------------------------------------------------
 
     def has_face(self, facets: Iterable[FacetId]) -> bool:
-        return tuple(sorted(set(facets))) in self._face_set
+        """Whether the facets span a face; a repeated facet id never does."""
+        return tuple(sorted(facets)) in self._face_set
 
     def faces_of_codim(self, k: int) -> tuple[Face, ...]:
         if k < 0 or k > self.n:
@@ -141,8 +142,9 @@ class FaceComplex(Value):
         For a simple corner structure the intersection of the listed facets,
         when nonempty, is the unique face of codimension len(facets) they
         span; a facet set outside the complex has empty intersection.
+        A repeated facet id names no face.
         """
-        key = tuple(sorted(set(facets)))
+        key = tuple(sorted(facets))
         if any(i < 0 or i >= self.m for i in key):
             raise NoSuchFaceError(f"facet id out of range in {key!r} (m={self.m})")
         if key not in self._face_set:
@@ -176,13 +178,13 @@ def _isomorphisms(first: FaceComplex, second: FaceComplex) -> Iterator[tuple[Fac
 
     Degree and co-degree tables prune the backtracking; the full
     maximal-face condition is checked before a bijection is yielded.
+    Equal sorted degrees force equal maximal-face counts, since the
+    degrees sum to n times that count.
     Images are tried in ascending order at each facet, so a caller that
     stops at the first bijection it accepts gets the same one as a scan of
     the full list, without the search for the rest.
     """
     if first.n != second.n or first.m != second.m:
-        return
-    if len(first.maximal_faces) != len(second.maximal_faces):
         return
     m = first.m
     deg1 = [first.facet_degree(i) for i in range(m)]

@@ -313,8 +313,12 @@ class Sublattice(Value):
         return hermite_rows((*self.basis, v), self.ambient) == self.basis
 
     def is_saturated(self) -> bool:
-        """Whether the basis extends to a basis of the ambient lattice."""
-        return extends_to_basis(self.basis)
+        """Whether the basis extends to a basis of the ambient lattice.
+
+        The constructor's column reduction answered this: the annihilator
+        is None exactly when the basis does not extend.
+        """
+        return self._annihilator is not None
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +390,10 @@ def _column_reduce(
 
     Row i reaches the diagonal as gcd(row[i:]), so the reduction stops at
     the first row where that is not 1; otherwise Euclid steps on columns
-    i..n-1 move it into column i.  Riders take the same steps in place, so
-    identity riders become V with rows @ V = [L | 0]; without riders the
-    last row is only gcd-checked.
+    i..n-1 move it into column i.  A stack of more than n rows fails at
+    row n, whose tail is empty and has gcd 0.  Riders take the same steps
+    in place, so identity riders become V with rows @ V = [L | 0]; without
+    riders the last row is only gcd-checked.
     """
     work = [[x if type(x) is int else _as_int(x) for x in row] for row in rows]
     if not work:
@@ -396,8 +401,6 @@ def _column_reduce(
     k, n = len(work), len(work[0])
     if any(len(row) != n for row in work):
         raise DimensionError("ragged rows")
-    if k > n:
-        return None
     for i, pivot_row in enumerate(work):
         if math.gcd(*pivot_row[i:]) != 1:
             return None

@@ -51,7 +51,7 @@ def check_skeletal(
         if image.codim < face.codim:
             return face
         for sub, _ in source.covered_by(face):
-            if not set(mapping[sub].facets) <= set(image.facets):
+            if not mapping[sub].is_subface_of(image):
                 return face
     return None
 
@@ -128,7 +128,7 @@ def skeletal_from_facet_map(
     mapping: dict[Face, Face] = {}
     for face in source.faces:
         key = tuple(sorted(images[i] for i in face.facets))
-        if len(set(key)) != len(key) or not target.has_face(key):
+        if not target.has_face(key):
             raise NoSuchFaceError(
                 f"facet map sends face {list(face.facets)} to non-face {sorted(set(key))}"
             )

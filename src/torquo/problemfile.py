@@ -254,7 +254,7 @@ def parse_problem(text: str) -> ProblemFile:
     complex_ = problem.build_complex()
     # entries are in document order, so i is the index the file uses
     for i, (facets, _) in enumerate(entries):
-        if len(set(facets)) != len(facets) or not complex_.has_face(facets):
+        if not complex_.has_face(facets):
             raise ProblemFileError(f'"reps"[{i}].face {list(facets)} is not a face of the complex')
     return problem
 

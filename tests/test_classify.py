@@ -626,9 +626,10 @@ def test_enumeration_decides_each_face_tuple_once_per_call(monkeypatch):
     assert second == first
     # each candidate is tested against a prefix at most once, its negation
     # included: the 26 box rows fall into 13 sign classes, and the count is
-    # pinned to the one recorded when the masks were first filled this way
-    # (the same as the basis tests of the search before)
-    assert candidate_tests[0] == candidate_tests[1] == 357
+    # pinned to the one recorded when pinned facets became one-option
+    # facets of the walk, which narrow their targets after the unpinned
+    # facets before them have
+    assert candidate_tests[0] == candidate_tests[1] == 356
     assert candidate_tests[0] <= 13 * len(first)
     # every face tuple is decided from a reduction, none by a basis test
     assert basis_tests == []

@@ -52,6 +52,15 @@ def test_smallest_face():
         sq.smallest_face([0, 9])
 
 
+def test_repeated_facet_id_is_no_face():
+    sq = make_square()
+    assert sq.has_face((0, 1))
+    assert not sq.has_face((0, 0))
+    assert not sq.has_face([1, 0, 1])
+    with pytest.raises(NoSuchFaceError):
+        sq.smallest_face([1, 1])
+
+
 def test_construction_errors():
     with pytest.raises(SimplicityError):
         FaceComplex(2, 3, [[0, 1, 2]])

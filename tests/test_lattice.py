@@ -418,6 +418,30 @@ def test_subtorus_examples():
     assert not subtorus_contains(TorusPoint((Fraction(1, 2), Fraction(0))), trivial)
 
 
+def test_is_saturated_matches_extends_to_basis():
+    samples = [
+        (2, []),
+        (2, [[1, 1]]),
+        (2, [[2, 0]]),
+        (2, [[1, 0], [0, 1]]),
+        (2, [[1, 1], [0, 2]]),
+        (3, [[1, 2, 3]]),
+        (3, [[2, 4, 6]]),
+        (3, [[1, 0, 0], [0, 3, 0]]),
+        (3, [[1, 0, 1], [0, 1, 1]]),
+    ]
+    rng = random.Random(2311)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        samples.append((n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]))
+    saturated = 0
+    for n, rows in samples:
+        lattice = Sublattice(n, rows)
+        assert lattice.is_saturated() == extends_to_basis(lattice.basis), rows
+        saturated += lattice.is_saturated()
+    assert 50 < saturated < len(samples) - 50
+
+
 def test_subtorus_requires_saturated():
     with pytest.raises(PreconditionError):
         subtorus_contains(TorusPoint.zero(2), Sublattice(2, [[2, 0]]))
@@ -546,6 +570,24 @@ def test_annihilator_is_read_off_the_column_reduction():
         spoiled += got is None
     assert extending > 150 and spoiled > 150
     assert _annihilator_of([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_over_full_stack_has_no_reduction():
+    # more than n rows never extend: the reduction, riders and all, fails
+    # at row n, whose empty tail has gcd 0, even when the first n rows form
+    # a basis and every row is primitive
+    for rows in (
+        [[1, 0], [0, 1], [1, 1]],
+        [[0, 1], [1, 0], [0, 1]],
+        [[2, 1], [1, 1], [1, 0], [0, 1]],
+        [[1], [1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    ):
+        n = len(rows[0])
+        assert extends_to_basis(rows[:n])
+        assert _reduce_to_identity(rows) is None
+        assert _annihilator_of(rows, n) is None
+        assert not extends_to_basis(rows)
 
 
 def test_subtorus_membership_well_defined_mod_one():
