@@ -7,7 +7,9 @@ that follows from the others may be a property instead
 (CharacteristicFunction.n is the length of its first vector).  The base
 compares instances of exactly the same class by their _values, hashes
 that tuple, prints it as Name(field=value, ...) and refuses assignment
-and deletion.
+and deletion.  OrderedValue (Face's base) also orders them: it writes
+__lt__ over the same tuples, and functools.total_ordering derives <=, >
+and >= from it and ==.  sorted() and list.sort() use only <.
 
 Stored fields live in __slots__: Value and OrderedValue declare none, and
 each subclass lists the fields it stores (CharacteristicFunction lists
@@ -20,11 +22,11 @@ __setattr__ refuses.
 
 No class keeps "__dict__".  Data derived from the fields sits in further
 slots that _fields does not name, and the constructor fills them before
-it returns (FaceComplex.faces, SkeletalMap's lookup dict,
-Sublattice._annihilator, ProblemFile._complex, the pair's _violation); it
-is never compared.  The one slot whose contents grow later is
-CharacteristicPair._isotropy, a dict of per-face lattices that starts
-empty and that isotropy_lattice fills on use.
+it returns (FaceComplex.faces and its _face_of dict, SkeletalMap's
+lookup dict, Sublattice._annihilator, ProblemFile._complex, the pair's
+_violation); it is never compared.  The one slot whose contents grow
+later is CharacteristicPair._isotropy, a dict of per-face lattices that
+starts empty and that isotropy_lattice fills on use.
 
 Pickling, copy and deepcopy go through the constructor: __reduce__
 returns (type(self), self._values), and each class's _fields are its
@@ -34,6 +36,7 @@ checks as a new one, and derives its own data afresh.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from operator import attrgetter
 
 
@@ -72,6 +75,7 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@total_ordering
 class OrderedValue(Value):
     """A Value that also orders instances of one class by their field tuples."""
 
@@ -80,19 +84,4 @@ class OrderedValue(Value):
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self._values < other._values
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values <= other._values
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values > other._values
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values >= other._values
         return NotImplemented

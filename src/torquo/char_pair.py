@@ -198,15 +198,17 @@ class CharacteristicPair(Value):
         """Lattice of the isotropy subtorus of a face: span of its facet vectors.
 
         Valid pairs give saturated lattices of rank equal to the codimension.
-        Each face's lattice is built on first use, kept in the pair's
-        _isotropy dict and then shared, so the annihilator its constructor
-        computed is too.
+        Facets given as ids name the face of their sorted tuple, so a
+        repeated id names none.  Each face's lattice is built on first use,
+        kept in the pair's _isotropy dict under the complex's own Face and
+        then shared, so the annihilator its constructor computed is too.
         """
-        face = face if isinstance(face, Face) else Face.of(face)
+        facets = face.facets if isinstance(face, Face) else tuple(sorted(face))
+        if not self.complex.has_face(facets):
+            raise NoSuchFaceError(f"{list(facets)} is not a face of the complex")
+        face = self.complex.smallest_face(facets)
         lattice = self._isotropy.get(face)
         if lattice is None:
-            if not self.complex.has_face(face.facets):
-                raise NoSuchFaceError(f"{list(face.facets)} is not a face of the complex")
             lattice = Sublattice(self.n, self.face_vectors(face))
             self._isotropy[face] = lattice
         return lattice
@@ -236,25 +238,21 @@ class CharacteristicPair(Value):
     # -- global structure ------------------------------------------------------
 
     def orbit_strata(self) -> list[Stratum]:
-        """Orbit-type strata, one per face, sorted by (codim, face).
+        """Orbit-type strata, one per face, in (codim, face) order.
 
         Over the open part of a codim-k face the isotropy subtorus has rank
         k, so orbits there have dimension n - k.  On a valid pair the facet
         vectors of a codim-k face extend to a basis, so they span a rank-k
-        lattice and no Hermite form is needed to read the rank.
+        lattice and no Hermite form is needed to read the rank.  The strata
+        are read codim by codim from the complex, whose faces are already
+        in Face order.
         """
         self.require_valid()
-        rows = [
-            Stratum(
-                face=face,
-                codim=face.codim,
-                isotropy_rank=face.codim,
-                orbit_dim=self.n - face.codim,
-            )
-            for face in self.complex.faces
+        return [
+            Stratum(face=face, codim=k, isotropy_rank=k, orbit_dim=self.n - k)
+            for k in range(self.n + 1)
+            for face in self.complex.faces_of_codim(k)
         ]
-        rows.sort(key=lambda s: (s.codim, s.face))
-        return rows
 
     def fixed_point_count(self) -> int:
         """Number of torus-fixed points: one per maximal face."""

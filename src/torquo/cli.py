@@ -21,7 +21,9 @@ Flag syntaxes not fixed by the file format:
 * --phi: a JSON mapfile, either {"facet_map": [j0, j1, ...]} or
   {"face_map": [[[0], [1]], ...]} listing [source, image] facet tuples,
   each side a face, every source face exactly once; no other key;
-* --face: comma-joined facet ids, or "-" for the empty face.
+* --face: comma-joined facet ids, or "-" for the empty face;
+* every number in these flags is ASCII decimals, with no "_" digit groups
+  (problemfile._ascii).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .problemfile import (
     ProblemFile,
     _decode_json,
     _fraction,
+    _integer,
     format_rational,
     parse_problem,
 )
@@ -139,7 +142,7 @@ def _parse_face_flag(text: str) -> tuple[int, ...]:
     if text in ("-", ""):
         return ()
     try:
-        facets = tuple(int(part) for part in text.split(","))
+        facets = tuple(map(_integer, text.split(",")))
     except ValueError:
         raise InputError(f"cannot read face {text!r}") from None
     # as for reps and mapfile faces, a repeated facet id names no face
@@ -166,7 +169,7 @@ def _parse_point_flag(text: str, n: int) -> ModelPoint:
 def _parse_sigma_flag(text: str, n: int) -> UnimodularMatrix:
     try:
         rows = tuple(
-            tuple(int(entry) for entry in row.split(","))
+            tuple(map(_integer, row.split(",")))
             for row in text.split(";")
         )
     except ValueError:

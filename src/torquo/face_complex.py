@@ -64,18 +64,20 @@ class Face(OrderedValue):
 class FaceComplex(Value):
     """The poset of faces generated by maximal faces of a nice corner structure.
 
-    Its fields are n, m and the sorted maximal faces.  The faces they
-    generate, and the set of their facet tuples, follow from those and
-    sit in two more slots.
+    Its fields are n, m and the sorted maximal faces.  The complex builds
+    one Face per face, from the distinct facet tuples of the subfaces of
+    the maximal faces, and keeps them in the _face_of dict by facet tuple,
+    in Face order.  faces holds the dict's values, maximal_faces the same
+    objects for the maximal tuples, and every lookup returns that object.
     """
 
-    __slots__ = ("n", "m", "maximal_faces", "faces", "_face_set")
+    __slots__ = ("n", "m", "maximal_faces", "faces", "_face_of")
     _fields = ("n", "m", "maximal_faces")
     n: int
     m: int
     maximal_faces: tuple[Face, ...]
     faces: tuple[Face, ...]
-    _face_set: frozenset[tuple[FacetId, ...]]
+    _face_of: dict[tuple[FacetId, ...], Face]
 
     def __init__(self, n: int, m: int, maximal_faces: Iterable[Iterable[FacetId]]) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -83,7 +85,6 @@ class FaceComplex(Value):
         if not isinstance(m, int) or isinstance(m, bool) or m < n:
             raise ComplexInputError(f"facet count m must be an integer >= n, got {m!r}")
         seen: set[tuple[int, ...]] = set()
-        maximal: list[Face] = []
         for raw in maximal_faces:
             items = tuple(raw)
             if len(set(items)) != len(items):
@@ -100,10 +101,9 @@ class FaceComplex(Value):
             if key in seen:
                 raise ComplexInputError(f"duplicate maximal face {key!r}")
             seen.add(key)
-            maximal.append(Face(key))
-        if not maximal:
+        if not seen:
             raise ComplexInputError("complex needs at least one maximal face")
-        covered = {i for face in maximal for i in face.facets}
+        covered = {i for key in seen for i in key}
         # every id is < m, so facets are missing exactly when len(covered) < m;
         # they are named from the low end, never by a set of size m
         if len(covered) < m:
@@ -113,23 +113,23 @@ class FaceComplex(Value):
             more = f" and {lost - len(missing)} more" if lost > len(missing) else ""
             raise ComplexInputError(f"facets {missing}{more} lie on no maximal face")
 
-        faces: set[Face] = {Face(())}
-        for face in maximal:
-            for k in range(1, n + 1):
-                for combo in itertools.combinations(face.facets, k):
-                    faces.add(Face(combo))
+        # k = 0 gives the empty face, which stands for the whole space
+        keys = {
+            sub for key in seen for k in range(n + 1) for sub in itertools.combinations(key, k)
+        }
+        face_of = {key: Face(key) for key in sorted(keys)}
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "maximal_faces", tuple(sorted(maximal)))
-        object.__setattr__(self, "faces", tuple(sorted(faces)))
-        object.__setattr__(self, "_face_set", frozenset(f.facets for f in faces))
+        object.__setattr__(self, "maximal_faces", tuple(face_of[key] for key in sorted(seen)))
+        object.__setattr__(self, "faces", tuple(face_of.values()))
+        object.__setattr__(self, "_face_of", face_of)
 
     # -- queries ------------------------------------------------------------
 
     def has_face(self, facets: Iterable[FacetId]) -> bool:
         """Whether the facets span a face; a repeated facet id never does."""
-        return tuple(sorted(facets)) in self._face_set
+        return tuple(sorted(facets)) in self._face_of
 
     def faces_of_codim(self, k: int) -> tuple[Face, ...]:
         if k < 0 or k > self.n:
@@ -137,7 +137,7 @@ class FaceComplex(Value):
         return tuple(face for face in self.faces if face.codim == k)
 
     def smallest_face(self, facets: Iterable[FacetId]) -> Face:
-        """The face supported on exactly the given facets.
+        """The complex's face supported on exactly the given facets.
 
         For a simple corner structure the intersection of the listed facets,
         when nonempty, is the unique face of codimension len(facets) they
@@ -147,9 +147,10 @@ class FaceComplex(Value):
         key = tuple(sorted(facets))
         if any(i < 0 or i >= self.m for i in key):
             raise NoSuchFaceError(f"facet id out of range in {key!r} (m={self.m})")
-        if key not in self._face_set:
+        face = self._face_of.get(key)
+        if face is None:
             raise NoSuchFaceError(f"facets {key!r} have empty intersection")
-        return Face(key)
+        return face
 
     def covered_by(self, face: Face) -> Iterator[tuple[Face, Face]]:
         """Covering pairs (g, face) with g one facet short of face."""

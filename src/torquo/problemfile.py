@@ -104,14 +104,32 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _fraction(text: str) -> Fraction:
-    """Fraction(text) for "p/q" and plain decimals; ValueError on an exponent.
+def _ascii(text: str) -> str:
+    """The text itself; ValueError if it is not ASCII or holds "_".
 
-    Fraction would build 10**k for "1e<k>", which takes minutes for large k.
+    int() and Fraction() also read digit-group underscores and non-ASCII
+    decimal digits, so "1_0" would read 10 and an Arabic-Indic one 1.
+    Numbers in flags and problem files are ASCII decimals only.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII decimal: {text!r}")
+    return text
+
+
+def _integer(text: str) -> int:
+    """int(text) for ASCII decimals only; ValueError otherwise."""
+    return int(_ascii(text))
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text) for ASCII "p/q" and plain decimals; ValueError otherwise.
+
+    Fraction would build 10**k for "1e<k>", which takes minutes for large
+    k, so an exponent is refused too.
     """
     if "e" in text or "E" in text:
         raise ValueError(f"exponent in {text!r}")
-    return Fraction(text)
+    return Fraction(_ascii(text))
 
 
 def parse_rational(text: object, where: str) -> Fraction:

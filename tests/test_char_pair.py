@@ -203,6 +203,9 @@ def test_isotropy_lattice():
     assert vertex.rank == 2
     with pytest.raises(NoSuchFaceError):
         pair.isotropy_lattice(Face((0, 1, 2)))
+    # as for has_face and smallest_face, a repeated facet id names no face
+    with pytest.raises(NoSuchFaceError, match=r"^\[0, 0\] is not a face of the complex$"):
+        pair.isotropy_lattice([0, 0])
 
 
 def test_isotropy_lattice_is_built_once_per_face():

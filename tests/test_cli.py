@@ -1085,6 +1085,50 @@ def test_exponent_rationals_are_input_errors(tmp_path, exponent):
     )
 
 
+IDENTITY_MAP = ["triangle.json", "triangle.json", "--phi", "map_identity3.json"]
+HOMOTOPY = ["homotopy-sample", *IDENTITY_MAP, "--sigma", "1,0;0,1"]
+NOT_ASCII_DECIMAL = {
+    "face-underscore": (["isotropy", "triangle.json", "--face", "0_1"], "cannot read face '0_1'"),
+    "face-arabic-indic": (["isotropy", "triangle.json", "--face", "\u0660,\u0661"],
+                          "cannot read face '\u0660,\u0661'"),
+    "face-fullwidth": (["isotropy", "triangle.json", "--face", "\uff10"],
+                       "cannot read face '\uff10'"),
+    "point-face": (["point-eq", "triangle.json", "--p", "0,0@0_0", "--q", "0,0@0"],
+                   "cannot read face '0_0'"),
+    "sigma": (["map-check", *IDENTITY_MAP, "--sigma", "\u0661,0;0,1_0"],
+              "cannot read matrix '\u0661,0;0,1_0'"),
+    "sigma-underscore": (["map-check", *IDENTITY_MAP, "--sigma", "1,0;0,1_0"],
+                         "cannot read matrix '1,0;0,1_0'"),
+    "point-eq-p": (["point-eq", "triangle.json", "--p", "1_0/2,0@0", "--q", "0,0@0"],
+                   "cannot read coordinates in point '1_0/2,0@0'"),
+    "point-eq-q": (["point-eq", "triangle.json", "--p", "0,0@0", "--q", "\u0661/\u0662,0@0"],
+                   "cannot read coordinates in point '\u0661/\u0662,0@0'"),
+    "homotopy-point": ([*HOMOTOPY, "--point", "1/3,1/4_0@0", "--s", "0"],
+                       "cannot read coordinates in point '1/3,1/4_0@0'"),
+    "homotopy-time": ([*HOMOTOPY, "--point", "1/3,1/4@0", "--s", "1/1_0"],
+                      "cannot read time '1/1_0'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", NOT_ASCII_DECIMAL.values(), ids=NOT_ASCII_DECIMAL)
+def test_numbers_in_flags_are_ascii_decimals(argv, message):
+    # int() and Fraction() read "1_0" as 10 and other scripts' digits as
+    # theirs; a flag number is ASCII decimals only
+    argv = [path(a) if a.endswith(".json") else a for a in argv]
+    assert invoke(*argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("rational", ["\u0661/\u0662", "1_0/2", "1/\uff12"])
+def test_reps_rationals_are_ascii_decimals(tmp_path, rational):
+    doc = json.loads((DATA / "triangle.json").read_text(encoding="utf-8"))
+    doc["reps"][0]["point"][0] = rational
+    bad = tmp_path / "not_ascii.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert invoke("validate", str(bad)) == (
+        1, "", f"error: {bad}: \"reps\"[0].point[0]: cannot read rational {rational!r}\n"
+    )
+
+
 def test_help_exits_zero(capsys):
     assert run(["enumerate", "--help"], io.StringIO(), io.StringIO()) == 0
     assert capsys.readouterr().out.startswith("usage: torquo enumerate")

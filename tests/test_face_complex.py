@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import operator
+import random
 
 import pytest
 
-from conftest import make_cube, make_pentagon, make_segment, make_simplex3, make_square, make_triangle
+from conftest import (
+    make_cube,
+    make_pentagon,
+    make_segment,
+    make_simplex3,
+    make_square,
+    make_triangle,
+    relabeled_complex,
+)
 from torquo.errors import ComplexInputError, DimensionError, NoSuchFaceError, SimplicityError
 from torquo.face_complex import Face, FaceComplex, isomorphisms
 
@@ -59,6 +69,42 @@ def test_repeated_facet_id_is_no_face():
     assert not sq.has_face([1, 0, 1])
     with pytest.raises(NoSuchFaceError):
         sq.smallest_face([1, 1])
+
+
+def corpus_complexes() -> dict[str, FaceComplex]:
+    cube = make_cube()
+    return {
+        "segment": make_segment(),
+        "triangle": make_triangle(),
+        "square": make_square(),
+        "pentagon": make_pentagon(),
+        "simplex3": make_simplex3(),
+        "cube": cube,
+        "relabeled-cube": relabeled_complex(cube, random.Random(7)),
+    }
+
+
+@pytest.mark.parametrize("cx", corpus_complexes().values(), ids=corpus_complexes())
+def test_a_complex_hands_out_its_own_faces(cx):
+    # one Face object per face: every lookup and every maximal face is one
+    # of the objects in cx.faces, and no two entries there are equal
+    for face in cx.faces:
+        assert cx.smallest_face(face.facets) is face
+        assert cx.smallest_face(reversed(face.facets)) is face
+    ids = {id(face) for face in cx.faces}
+    assert all(id(face) in ids for face in cx.maximal_faces)
+    assert len(set(cx.faces)) == len(cx.faces)
+
+
+def test_faces_order_as_their_facet_tuples():
+    sample = {face for cx in corpus_complexes().values() for face in cx.faces}
+    assert len(sample) == 38
+    ops = (operator.lt, operator.le, operator.gt, operator.ge)
+    for a, b in itertools.product(sample, repeat=2):
+        for op in ops:
+            assert op(a, b) == op(a.facets, b.facets), (op, a, b)
+    with pytest.raises(TypeError):
+        Face(()) <= ()
 
 
 def test_construction_errors():
