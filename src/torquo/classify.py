@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from functools import cache
 from math import gcd
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
@@ -155,7 +156,7 @@ def _forms(
         yield form, signs
 
 
-def _up_to_sign(row: list[int]) -> IntVector:
+def _up_to_sign(row: Sequence[int]) -> IntVector:
     """The row or its negative, whichever has a positive first nonzero entry."""
     return tuple(row) if next(x for x in row if x) > 0 else tuple(-x for x in row)
 
@@ -434,23 +435,47 @@ def weak_classes(
 ) -> list[list[int]]:
     """Group indices of the given functions by weak equivalence.
 
-    Every function is validated.  A function looks up its all-plus form
-    (see _forms); on a miss it starts a class and indexes its forms along
-    every automorphism of cx and every base sign vector under that class.
+    Every function is validated in order, so the first invalid one raises
+    its PreconditionError naming its violating face; then _classes groups
+    them.
+    """
+    for func in functions:
+        CharacteristicPair(cx, func).require_valid()
+    return _classes(cx, functions)
+
+
+def _classes(cx: FaceComplex, functions: Sequence[CharacteristicFunction]) -> list[list[int]]:
+    """weak_classes for functions already known to be valid on cx.
+
+    Only for callers that know it, as the CLI knows it of the list that
+    enumerate_characteristic has just returned: nothing is validated, and
+    on an invalid function the classes mean nothing.  A function looks up
+    its all-plus form (see _forms); on a miss it starts a class and
+    indexes its forms along every automorphism of cx and every base sign
+    vector under that class.
     Members of one class share the same set of forms and the sets of two
     classes are disjoint, so one lookup decides membership, and classes
     come out in order of their first member.
+
+    A function whose base facets carry e_1..e_n, in order, has V = I in
+    _forms, so its all-plus form is its rows, each taken up to sign; each
+    distinct row's signless form is made once per call.
     """
     automorphisms = isomorphisms(cx, cx)
     base = cx.maximal_faces[0].facets
+    identity = [tuple(int(i == j) for j in range(cx.n)) for i in range(cx.n)]
+    signless = cache(_up_to_sign)
     class_of: dict[tuple[IntVector, ...], int] = {}
     classes: list[list[int]] = []
     for idx, func in enumerate(functions):
-        CharacteristicPair(cx, func).require_valid()
-        form, _ = next(_forms(func.vectors, base))
+        vectors = func.vectors
+        if [vectors[i] for i in base] == identity:
+            form = tuple(map(signless, vectors))
+        else:
+            form, _ = next(_forms(vectors, base))
         if form not in class_of:
             for perm in automorphisms:
-                for other, _ in _forms([func.vectors[j] for j in perm], base):
+                for other, _ in _forms([vectors[j] for j in perm], base):
                     class_of[other] = len(classes)
             classes.append([])
         classes[class_of[form]].append(idx)

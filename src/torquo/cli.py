@@ -444,7 +444,7 @@ def _function_line(index: int, vectors: Sequence[tuple[int, ...]], texts: _RowTe
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> None:
-    from .classify import enumerate_characteristic, weak_classes
+    from .classify import _classes, enumerate_characteristic
 
     complex_ = _read_problem(args.file).build_complex()
     if args.bound < 1:
@@ -454,7 +454,7 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> None:
     out.writelines(_function_line(i, func.vectors, texts) for i, func in enumerate(functions))
     summary: dict[str, Any] = {"count": len(functions)}
     if args.group:
-        summary["classes"] = weak_classes(complex_, functions)
+        summary["classes"] = _classes(complex_, functions)
     out.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
@@ -562,6 +562,8 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     for name in names:
         help_text, handler, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
+        # type=int reads ASCII decimals only; argparse still names it int in its message
+        p.register("type", int, _integer)
         for arg_name, options in arguments:
             p.add_argument(arg_name, **options)
         p.set_defaults(handler=handler)

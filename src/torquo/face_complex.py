@@ -37,11 +37,6 @@ class Face(OrderedValue):
             raise ComplexInputError(f"facet tuple must be strictly increasing: {facets!r}")
         object.__setattr__(self, "facets", facets)
 
-    @classmethod
-    def of(cls, facets: Iterable[FacetId]) -> "Face":
-        items = sorted(set(facets))
-        return cls(tuple(items))
-
     @property
     def codim(self) -> int:
         return len(self.facets)
@@ -153,10 +148,9 @@ class FaceComplex(Value):
         return face
 
     def covered_by(self, face: Face) -> Iterator[tuple[Face, Face]]:
-        """Covering pairs (g, face) with g one facet short of face."""
+        """Covering pairs (g, face), g the complex's face one facet short of face."""
         for drop in face.facets:
-            g = Face(tuple(i for i in face.facets if i != drop))
-            yield g, face
+            yield self._face_of[tuple(i for i in face.facets if i != drop)], face
 
     def facet_degree(self, facet: FacetId) -> int:
         """Number of maximal faces through the facet."""

@@ -377,12 +377,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, UnimodularMatrix, Unimod
 # bases of the ambient lattice
 
 
-def is_primitive(v: Sequence[int]) -> bool:
-    """Whether the integer vector has coordinate gcd 1; the empty vector has gcd 0."""
-    (row,) = _int_rows((v,))
-    return math.gcd(*row) == 1
-
-
 def _column_reduce(
     rows: Sequence[Sequence[int]], riders: list[list[int]]
 ) -> list[list[int]] | None:

@@ -20,6 +20,7 @@ from torquo.char_pair import CharacteristicFunction, CharacteristicPair
 from torquo.classify import (
     EquivalenceWitness,
     InvariantSignature,
+    _classes,
     compose_witnesses,
     enumerate_characteristic,
     equivalent,
@@ -662,19 +663,49 @@ def test_weak_classes_validates_every_function():
     for functions in ([invalid], [valid, invalid], [invalid, valid]):
         with pytest.raises(PreconditionError):
             weak_classes(cx, functions)
+    # and those of facets 2 and 3 only; the first invalid function in
+    # order names its face, after any number of valid ones
+    other = CharacteristicFunction(2, ((1, 0), (0, 1), (-1, 1), (1, 1)))
+    cases = (([valid, invalid, other], "[1, 2]"), ([valid, other, invalid], "[2, 3]"))
+    for functions, face in cases:
+        with pytest.raises(PreconditionError) as info:
+            weak_classes(cx, functions)
+        assert str(info.value) == f"characteristic function is invalid at face {face}"
 
 
 @pytest.mark.parametrize(
-    "make, bound, count, class_count",
-    [(make_square, 2, 52, 4), (make_pentagon, 1, 112, 2)],
-    ids=["square-bound2-normalized", "pentagon-bound1-normalized"],
+    "make, bound, normalize, step, count, class_count",
+    [
+        (make_square, 2, True, 1, 52, 4),
+        (make_pentagon, 1, True, 1, 112, 2),
+        # every 8th function: mostly unpinned base rows, which take _forms
+        (make_square, 1, False, 8, 100, 4),
+    ],
+    ids=["square-bound2-normalized", "pentagon-bound1-normalized", "square-bound1-every-8th"],
 )
-def test_weak_classes_match_brute_force_grouping(make, bound, count, class_count):
+def test_weak_classes_match_brute_force_grouping(make, bound, normalize, step, count, class_count):
     cx = make()
-    found = enumerate_characteristic(cx, bound, normalize=True)
+    found = enumerate_characteristic(cx, bound, normalize=normalize)[::step]
     classes = weak_classes(cx, found)
     assert (len(found), len(classes)) == (count, class_count)
     assert classes == brute_force_classes(cx, found)
+    # the grouping that trusts the search's rows gives the same classes
+    assert _classes(cx, found) == classes
+
+
+@pytest.mark.parametrize(
+    "make, class_count", [(make_cube, 6), (lambda: make_prism(5), 44)], ids=["cube", "prism5"]
+)
+def test_classes_survive_relabeling(make, class_count):
+    # a relabeling moves the base face that normalize pins, so the search
+    # lists other functions, but the classes keep their count and sizes
+    cx = make()
+    sizes = sorted(map(len, _classes(cx, enumerate_characteristic(cx, 1, normalize=True))))
+    assert len(sizes) == class_count
+    for seed in range(3):
+        other = relabeled_complex(cx, random.Random(seed))
+        classes = _classes(other, enumerate_characteristic(other, 1, normalize=True))
+        assert sorted(map(len, classes)) == sizes
 
 
 def test_weak_classes_searches_automorphisms_once(monkeypatch):
@@ -692,9 +723,11 @@ def test_weak_classes_searches_automorphisms_once(monkeypatch):
 
     for name in ("isomorphisms", "equivalent"):
         monkeypatch.setattr(classify_module, name, recording(name, getattr(classify_module, name)))
-    assert weak_classes(cx, found) == expected
     # one automorphism search per call and no pairwise equivalence decisions
-    assert calls == {"isomorphisms": 1}
+    for group in (weak_classes, _classes):
+        calls.clear()
+        assert group(cx, found) == expected
+        assert calls == {"isomorphisms": 1}
 
 
 def test_twist_grid_weak_classes():

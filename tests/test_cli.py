@@ -987,6 +987,15 @@ def test_unknown_subcommand_is_an_input_error(capsys):
             ["enumerate", "triangle.json", "--bound", "abc"],
             "error: argument --bound: invalid int value: 'abc'\n",
         ),
+        # --bound reads ASCII decimals only, as every other number in a flag
+        (
+            ["enumerate", "triangle.json", "--bound", "\u0661"],
+            "error: argument --bound: invalid int value: '\u0661'\n",
+        ),
+        (
+            ["enumerate", "segment.json", "--bound", "0_2"],
+            "error: argument --bound: invalid int value: '0_2'\n",
+        ),
         # a dash value that does not start with a digit still reads as an option
         (
             ["point-eq", "triangle.json", "--p", "-x,0@0", "--q", "0,0@-"],
@@ -999,7 +1008,14 @@ def test_unknown_subcommand_is_an_input_error(capsys):
         # the choice list is quoted differently across Python versions
         (["frobnicate"], "error: argument command: invalid choice: "),
     ],
-    ids=["bound-not-int", "dash-value", "missing-face", "unknown-subcommand"],
+    ids=[
+        "bound-not-int",
+        "bound-not-ascii",
+        "bound-digit-group",
+        "dash-value",
+        "missing-face",
+        "unknown-subcommand",
+    ],
 )
 def test_usage_errors_are_one_line_input_errors(argv, message, capsys):
     argv = [path(a) if a.endswith(".json") else a for a in argv]

@@ -24,7 +24,6 @@ from torquo.face_complex import Face, FaceComplex, isomorphisms
 def test_face_encoding():
     assert Face((0, 2)).codim == 2
     assert Face(()).is_empty
-    assert Face.of([2, 0, 2]) == Face((0, 2))
     assert 2 in Face((0, 2))
     assert Face((0,)).is_subface_of(Face((0, 1)))
     assert not Face((2,)).is_subface_of(Face((0, 1)))
@@ -86,11 +85,14 @@ def corpus_complexes() -> dict[str, FaceComplex]:
 
 @pytest.mark.parametrize("cx", corpus_complexes().values(), ids=corpus_complexes())
 def test_a_complex_hands_out_its_own_faces(cx):
-    # one Face object per face: every lookup and every maximal face is one
-    # of the objects in cx.faces, and no two entries there are equal
+    # one Face object per face: every lookup, every maximal face and every
+    # face that covered_by yields is one of the objects in cx.faces, and no
+    # two entries there are equal
     for face in cx.faces:
         assert cx.smallest_face(face.facets) is face
         assert cx.smallest_face(reversed(face.facets)) is face
+        for g, f in cx.covered_by(face):
+            assert g is cx.smallest_face(g.facets) and f is face
     ids = {id(face) for face in cx.faces}
     assert all(id(face) in ids for face in cx.maximal_faces)
     assert len(set(cx.faces)) == len(cx.faces)

@@ -23,7 +23,6 @@ from torquo.lattice import (
     complete_to_basis,
     extends_to_basis,
     hermite_rows,
-    is_primitive,
     lattice_member,
     smith_normal_form,
     subtorus_contains,
@@ -516,7 +515,7 @@ def test_annihilator_completion_rule_matches_minor_oracle():
     for n in range(1, 6):
         bound = 2 if n <= 3 else 1
         box = [
-            v for v in itertools.product(range(-bound, bound + 1), repeat=n) if is_primitive(v)
+            v for v in itertools.product(range(-bound, bound + 1), repeat=n) if math.gcd(*v) == 1
         ]
         for _ in range(3 if n <= 3 else 2):
             rows = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -622,16 +621,6 @@ def test_torus_point_arithmetic():
         p.scaled(0.5)
 
 
-def test_is_primitive():
-    assert is_primitive((1, 0))
-    assert is_primitive((2, 3))
-    assert is_primitive((-1,))
-    assert not is_primitive((2, 4))
-    assert not is_primitive((0, 0))
-    assert not is_primitive((2,))
-    assert not is_primitive(())
-
-
 def test_entry_checks_keep_their_messages():
     # entries are checked once at the boundary; the first bad one in
     # row-major order is reported with the per-entry message
@@ -639,9 +628,6 @@ def test_entry_checks_keep_their_messages():
         message = f"expected an integer entry, got {bad!r}"
         with pytest.raises(DimensionError) as info:
             hermite_rows([[1, 0], [0, bad]], 2)
-        assert str(info.value) == message
-        with pytest.raises(DimensionError) as info:
-            is_primitive((3, bad))
         assert str(info.value) == message
         with pytest.raises(DimensionError) as info:
             Sublattice(2, [[bad, 1]])
