@@ -14,7 +14,9 @@ by a base sign vector and taken up to sign per facet.  A sign choice gives
 an equivalence along an isomorphism exactly when the forms on both sides
 agree, so equivalent indexes the first function's forms and looks up the
 second's along each isomorphism, and weak_classes indexes each new class's
-forms along every automorphism and looks up each function once.
+forms along every automorphism and looks up each function once.  Only a
+miss is validated: a hit is valid by the same fact, because the class's
+first member was.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from functools import cache
 from math import gcd
 from operator import itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
 from .char_pair import CharacteristicFunction, CharacteristicPair
@@ -146,10 +148,13 @@ def _forms(
     those of mu o h as columns.  Forward: applying C^-1 to sigma lambda(i)
     = +-mu(h(i)) gives diag(D) B^-1 lambda(i) = +-C^-1 mu(h(i)), row by
     row the two forms.  Back: applying C to that equation gives sigma
-    lambda(i) = +-mu(h(i)).  Both directions need B and C unimodular,
-    which holds on validated pairs.
+    lambda(i) = +-mu(h(i)).  Both directions need B and C unimodular.
+    Nothing is yielded when the base rows do not extend to a basis, so a
+    function that has a form has unimodular base vectors.
     """
     v = _reduce_to_identity([vectors[i] for i in base])
+    if v is None:
+        return
     coords = [tuple(sum(a * b for a, b in zip(vec, col)) for col in zip(*v)) for vec in vectors]
     for signs in itertools.product((1, -1), repeat=len(base)):
         form = tuple(_up_to_sign([d * x for d, x in zip(signs, row)]) for row in coords)
@@ -157,8 +162,11 @@ def _forms(
 
 
 def _up_to_sign(row: Sequence[int]) -> IntVector:
-    """The row or its negative, whichever has a positive first nonzero entry."""
-    return tuple(row) if next(x for x in row if x) > 0 else tuple(-x for x in row)
+    """The row or its negative, whichever has a positive first nonzero entry.
+
+    A zero row stays zero.
+    """
+    return tuple(row) if next((x for x in row if x), 0) >= 0 else tuple(-x for x in row)
 
 
 def equivalent(
@@ -431,31 +439,26 @@ def enumerate_characteristic(
 
 
 def weak_classes(
-    cx: FaceComplex, functions: Sequence[CharacteristicFunction]
+    cx: FaceComplex, functions: Iterable[CharacteristicFunction]
 ) -> list[list[int]]:
-    """Group indices of the given functions by weak equivalence.
+    """Group indices of the given functions by weak equivalence, in one pass.
 
-    Every function is validated in order, so the first invalid one raises
-    its PreconditionError naming its violating face; then _classes groups
-    them.
-    """
-    for func in functions:
-        CharacteristicPair(cx, func).require_valid()
-    return _classes(cx, functions)
+    A function looks up its all-plus form (see _forms).  On a miss it is
+    validated, so the first invalid function in order raises the
+    PreconditionError naming its violating face, or the DimensionError of
+    a wrong rank or facet count; then it starts a class and indexes its
+    forms along every automorphism of cx and every base sign vector under
+    that class.  Members of one class share the same set of forms and the
+    sets of two classes are disjoint, so one lookup decides membership,
+    and classes come out in order of their first member.
 
-
-def _classes(cx: FaceComplex, functions: Sequence[CharacteristicFunction]) -> list[list[int]]:
-    """weak_classes for functions already known to be valid on cx.
-
-    Only for callers that know it, as the CLI knows it of the list that
-    enumerate_characteristic has just returned: nothing is validated, and
-    on an invalid function the classes mean nothing.  A function looks up
-    its all-plus form (see _forms); on a miss it starts a class and
-    indexes its forms along every automorphism of cx and every base sign
-    vector under that class.
-    Members of one class share the same set of forms and the sets of two
-    classes are disjoint, so one lookup decides membership, and classes
-    come out in order of their first member.
+    A hit needs no validation.  The class's first member lambda was
+    validated, and its forms are those of lambda o perm at each D.  A
+    function mu has a form only if its base rows extend to a basis, so by
+    the fact in _forms a hit gives mu(i) = +-sigma lambda(perm(i)) for
+    every facet i, with sigma unimodular.  perm maps faces to faces, and
+    sigma and signs keep rows that extend, so every face of mu passes.
+    An invalid function therefore always misses.
 
     A function whose base facets carry e_1..e_n, in order, has V = I in
     _forms, so its all-plus form is its rows, each taken up to sign; each
@@ -469,11 +472,15 @@ def _classes(cx: FaceComplex, functions: Sequence[CharacteristicFunction]) -> li
     classes: list[list[int]] = []
     for idx, func in enumerate(functions):
         vectors = func.vectors
-        if [vectors[i] for i in base] == identity:
+        if len(vectors) != cx.m or len(vectors[0]) != cx.n:
+            # no form: the pair below raises its DimensionError
+            form = None
+        elif [vectors[i] for i in base] == identity:
             form = tuple(map(signless, vectors))
         else:
-            form, _ = next(_forms(vectors, base))
+            form, _ = next(_forms(vectors, base), (None, None))
         if form not in class_of:
+            CharacteristicPair(cx, func).require_valid()
             for perm in automorphisms:
                 for other, _ in _forms([vectors[j] for j in perm], base):
                     class_of[other] = len(classes)

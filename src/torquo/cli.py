@@ -444,7 +444,7 @@ def _function_line(index: int, vectors: Sequence[tuple[int, ...]], texts: _RowTe
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> None:
-    from .classify import _classes, enumerate_characteristic
+    from .classify import enumerate_characteristic, weak_classes
 
     complex_ = _read_problem(args.file).build_complex()
     if args.bound < 1:
@@ -454,7 +454,7 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> None:
     out.writelines(_function_line(i, func.vectors, texts) for i, func in enumerate(functions))
     summary: dict[str, Any] = {"count": len(functions)}
     if args.group:
-        summary["classes"] = _classes(complex_, functions)
+        summary["classes"] = weak_classes(complex_, functions)
     out.write(json.dumps(summary, sort_keys=True) + "\n")
 
 

@@ -312,14 +312,6 @@ class Sublattice(Value):
             raise DimensionError(f"vector length {len(v)} does not match ambient {self.ambient}")
         return hermite_rows((*self.basis, v), self.ambient) == self.basis
 
-    def is_saturated(self) -> bool:
-        """Whether the basis extends to a basis of the ambient lattice.
-
-        The constructor's column reduction answered this: the annihilator
-        is None exactly when the basis does not extend.
-        """
-        return self._annihilator is not None
-
 
 # ---------------------------------------------------------------------------
 # Smith form

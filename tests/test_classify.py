@@ -20,7 +20,6 @@ from torquo.char_pair import CharacteristicFunction, CharacteristicPair
 from torquo.classify import (
     EquivalenceWitness,
     InvariantSignature,
-    _classes,
     compose_witnesses,
     enumerate_characteristic,
     equivalent,
@@ -671,6 +670,25 @@ def test_weak_classes_validates_every_function():
         with pytest.raises(PreconditionError) as info:
             weak_classes(cx, functions)
         assert str(info.value) == f"characteristic function is invalid at face {face}"
+    # functions with no form: base rows that do not extend; a zero row,
+    # under a pinned base and under an unpinned one; too few facets; and a
+    # rank-3 function whose rows, cut to two coordinates, are the valid
+    # function's own
+    cases = (
+        (CharacteristicFunction(2, ((1, 1), (1, 1), (1, 0), (0, 1))), PreconditionError,
+         "characteristic function is invalid at face [0, 1]"),
+        (CharacteristicFunction(2, ((1, 0), (0, 1), (0, 0), (0, 1))), PreconditionError,
+         "characteristic function is invalid at face [1, 2]"),
+        (CharacteristicFunction(2, ((1, 1), (0, 1), (0, 0), (0, 1))), PreconditionError,
+         "characteristic function is invalid at face [1, 2]"),
+        (CharacteristicFunction(2, ((1, 0),)), DimensionError, "1 facet vectors for 4 facets"),
+        (CharacteristicFunction(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 0))), DimensionError,
+         "characteristic rank 3 does not match complex dimension 2"),
+    )
+    for func, error, message in cases:
+        with pytest.raises(error) as info:
+            weak_classes(cx, [valid, func])
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -689,8 +707,8 @@ def test_weak_classes_match_brute_force_grouping(make, bound, normalize, step, c
     classes = weak_classes(cx, found)
     assert (len(found), len(classes)) == (count, class_count)
     assert classes == brute_force_classes(cx, found)
-    # the grouping that trusts the search's rows gives the same classes
-    assert _classes(cx, found) == classes
+    # one pass: a one-shot iterator groups as the list does
+    assert weak_classes(cx, iter(found)) == classes
 
 
 @pytest.mark.parametrize(
@@ -700,11 +718,11 @@ def test_classes_survive_relabeling(make, class_count):
     # a relabeling moves the base face that normalize pins, so the search
     # lists other functions, but the classes keep their count and sizes
     cx = make()
-    sizes = sorted(map(len, _classes(cx, enumerate_characteristic(cx, 1, normalize=True))))
+    sizes = sorted(map(len, weak_classes(cx, enumerate_characteristic(cx, 1, normalize=True))))
     assert len(sizes) == class_count
     for seed in range(3):
         other = relabeled_complex(cx, random.Random(seed))
-        classes = _classes(other, enumerate_characteristic(other, 1, normalize=True))
+        classes = weak_classes(other, enumerate_characteristic(other, 1, normalize=True))
         assert sorted(map(len, classes)) == sizes
 
 
@@ -724,10 +742,70 @@ def test_weak_classes_searches_automorphisms_once(monkeypatch):
     for name in ("isomorphisms", "equivalent"):
         monkeypatch.setattr(classify_module, name, recording(name, getattr(classify_module, name)))
     # one automorphism search per call and no pairwise equivalence decisions
-    for group in (weak_classes, _classes):
-        calls.clear()
-        assert group(cx, found) == expected
-        assert calls == {"isomorphisms": 1}
+    assert weak_classes(cx, found) == expected
+    assert calls == {"isomorphisms": 1}
+
+
+def test_weak_classes_builds_one_pair_per_class(monkeypatch):
+    cx = make_square()
+    found = enumerate_characteristic(cx, 2, normalize=True)
+    rng = random.Random(2701)
+    moved = [relabeled_copy(rng, CharacteristicPair(cx, func)).char for func in found]
+    built = []
+
+    def counting(complex_, func):
+        built.append(func)
+        return CharacteristicPair(complex_, func)
+
+    monkeypatch.setattr(classify_module, "CharacteristicPair", counting)
+    # pinned base rows, then rows that take the change of basis in _forms
+    for functions in (found, moved):
+        built.clear()
+        classes = weak_classes(cx, functions)
+        assert (len(functions), len(classes)) == (52, 4)
+        assert built == [functions[members[0]] for members in classes]
+
+
+def _outcome(call, *args):
+    """The call's value, or the type and message of the error it raised."""
+    try:
+        return call(*args)
+    except (PreconditionError, DimensionError) as error:
+        return type(error), str(error)
+
+
+def _validate_then_group(cx, functions):
+    """The oracle: every function validated in order, then brute-force classes."""
+    for func in functions:
+        CharacteristicPair(cx, func).require_valid()
+    return brute_force_classes(cx, functions)
+
+
+@pytest.mark.parametrize("make", [make_square, make_pentagon], ids=["square", "pentagon"])
+def test_weak_classes_matches_validate_then_group(make):
+    # valid functions moved by changes of basis, sign flips and
+    # automorphisms, mixed with functions whose base rows extend but some
+    # other row is random, so they have a form and are most often invalid
+    cx = make()
+    found = enumerate_characteristic(cx, 1, normalize=True)
+    base = cx.maximal_faces[0].facets
+    others = [i for i in range(cx.m) if i not in base]
+    rng = random.Random(2702)
+    outcomes = collections.Counter()
+    for _ in range(40):
+        functions = []
+        for _ in range(rng.randint(1, 10)):
+            func = relabeled_copy(rng, CharacteristicPair(cx, rng.choice(found))).char
+            if rng.random() < 0.1:
+                rows = list(func.vectors)
+                rows[rng.choice(others)] = tuple(rng.randint(-2, 2) for _ in range(cx.n))
+                func = CharacteristicFunction(cx.n, tuple(rows))
+            functions.append(func)
+        expected = _outcome(_validate_then_group, cx, functions)
+        assert _outcome(weak_classes, cx, iter(functions)) == expected
+        outcomes[isinstance(expected, tuple)] += 1
+    # both outcomes are exercised
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def test_twist_grid_weak_classes():
