@@ -24,9 +24,8 @@ No class keeps "__dict__".  Data derived from the fields sits in further
 slots that _fields does not name, and the constructor fills them before
 it returns (FaceComplex.faces and its _face_of dict, SkeletalMap's
 lookup dict, Sublattice._annihilator, ProblemFile._complex, the pair's
-_violation); it is never compared.  The one slot whose contents grow
-later is CharacteristicPair._isotropy, a dict of per-face lattices that
-starts empty and that isotropy_lattice fills on use.
+_violation); it is never compared, and no slot changes after the
+constructor returns.
 
 Pickling, copy and deepcopy go through the constructor: __reduce__
 returns (type(self), self._values), and each class's _fields are its

@@ -130,17 +130,14 @@ class CharacteristicPair(Value):
     Its fields are the complex and the function.  The constructor also
     decides validity: the first failing face (or None) sits in the
     _violation slot, so first_violation, is_valid and require_valid only
-    read it.  The _isotropy slot holds a dict that isotropy_lattice fills
-    one face at a time; it starts empty in every new pair, a copy or an
-    unpickled one included.
+    read it.  No slot changes after construction.
     """
 
-    __slots__ = ("complex", "char", "_violation", "_isotropy")
+    __slots__ = ("complex", "char", "_violation")
     _fields = ("complex", "char")
     complex: FaceComplex
     char: CharacteristicFunction
     _violation: Face | None
-    _isotropy: dict[Face, Sublattice]
 
     def __init__(self, complex: FaceComplex, char: CharacteristicFunction) -> None:
         if char.n != complex.n:
@@ -158,7 +155,6 @@ class CharacteristicPair(Value):
             # a failing maximal face guarantees the lex scan stops
             violation = next(f for f in complex.faces if not self._extends(f))
         object.__setattr__(self, "_violation", violation)
-        object.__setattr__(self, "_isotropy", {})
 
     @property
     def n(self) -> int:
@@ -199,25 +195,21 @@ class CharacteristicPair(Value):
 
         Valid pairs give saturated lattices of rank equal to the codimension.
         Facets given as ids name the face of their sorted tuple, so a
-        repeated id names none.  Each face's lattice is built on first use,
-        kept in the pair's _isotropy dict under the complex's own Face and
-        then shared, so the annihilator its constructor computed is too.
+        repeated id names none.  Each call builds the lattice afresh.
         """
         facets = face.facets if isinstance(face, Face) else tuple(sorted(face))
         if not self.complex.has_face(facets):
             raise NoSuchFaceError(f"{list(facets)} is not a face of the complex")
-        face = self.complex.smallest_face(facets)
-        lattice = self._isotropy.get(face)
-        if lattice is None:
-            lattice = Sublattice(self.n, self.face_vectors(face))
-            self._isotropy[face] = lattice
-        return lattice
+        return Sublattice(self.n, map(self.char.vector, facets))
 
     def points_equal(self, p: ModelPoint, q: ModelPoint) -> bool:
         """Whether two representatives name the same point of the model.
 
         Points glue exactly along faces: the faces and tags must agree and
         the torus difference must lie on the isotropy subtorus of the face.
+        On the empty face that subtorus is the point 0, since the rank-0
+        lattice's annihilator is the identity, so the torus points must be
+        equal.
         """
         self.require_valid()
         for point in (p, q):
@@ -231,8 +223,6 @@ class CharacteristicPair(Value):
                 )
         if p.face != q.face or p.tag != q.tag:
             return False
-        if p.face.is_empty:
-            return p.t == q.t
         return subtorus_contains(q.t - p.t, self.isotropy_lattice(p.face))
 
     # -- global structure ------------------------------------------------------

@@ -6,6 +6,7 @@ import copy
 import importlib
 import pickle
 import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,23 @@ from torquo.classify import EquivalenceWitness, InvariantSignature
 from torquo.errors import ComplexInputError, DimensionError, PreconditionError, ProblemFileError
 from torquo.face_complex import Face, FaceComplex
 from torquo.lattice import IntMatrix, Sublattice, TorusPoint, UnimodularMatrix
-from torquo.morphism import CompatibilityViolation, Morphism, SkeletalMap, identity_skeletal
+from torquo.morphism import (
+    CompatibilityViolation,
+    Morphism,
+    SkeletalMap,
+    check_compatibility,
+    check_reps_coherence,
+    identity_skeletal,
+)
 from torquo.problemfile import ProblemFile, parse_problem
 
-from conftest import make_triangle
+from conftest import (
+    coherent_reps,
+    equivalent_partner,
+    make_triangle,
+    random_checked_morphism,
+    random_model_point,
+)
 
 
 FIELDS = {
@@ -224,18 +238,33 @@ def test_cached_annihilator_leaves_equality_alone():
 def test_cached_validation_and_isotropy_leave_equality_alone():
     fresh = CharacteristicPair(make_triangle(), CharacteristicFunction(2, ((1, 0), (0, 1), (1, 1))))
     bad = CharacteristicPair(make_triangle(), CharacteristicFunction(2, ((1, 0), (0, 1), (1, 0))))
-    # validity is decided at construction; the isotropy dict starts empty
+    # validity is decided at construction
     assert fresh._violation is None and bad._violation == Face((0, 2))
-    assert fresh._isotropy == {}
     used = copy.copy(fresh)
     used.require_valid()
-    lattice = used.isotropy_lattice((0, 1))
-    assert used._isotropy == {Face((0, 1)): lattice} and fresh._isotropy == {}
+    used.isotropy_lattice((0, 1))
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-    # every clone starts with its own empty dict
     for clone in (copy.copy(used), pickle.loads(pickle.dumps(used))):
         assert clone == fresh and clone._violation is None
-        assert clone._isotropy == {} and clone._isotropy is not used._isotropy
+
+
+def test_no_pair_slot_changes_after_construction():
+    rng = random.Random(28)
+    for _ in range(12):
+        morphism, source, target = random_checked_morphism(rng)
+        slots = [name for cls in type(target).__mro__ for name in vars(cls).get("__slots__", ())]
+
+        def snapshot():
+            return [pickle.dumps(getattr(pair, name)) for pair in (source, target) for name in slots]
+
+        before = snapshot()
+        point = random_model_point(rng, target)
+        assert target.points_equal(point, equivalent_partner(rng, target, point))
+        for face in target.complex.faces:
+            target.isotropy_lattice(face)
+        assert check_compatibility(morphism, source, target) is None
+        assert check_reps_coherence(morphism, target, coherent_reps(rng, morphism, target)) is None
+        assert snapshot() == before
 
 
 def test_validation_reads_make_no_basis_tests(monkeypatch):
